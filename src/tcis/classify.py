@@ -7,16 +7,27 @@ partition-refinement search with signature dominance finds it without
 touching all n! column orders; the result is the sorted codeword tuple
 in canonical column order, which two codes share exactly when one is a
 column permutation of the other.
+
+Once every refinement block holds a single codeword (a discrete
+partition), each remaining column's signature is its own 0/1 pattern
+and the least one always comes next, so the rest of the order is forced:
+the search finishes that branch with one sort of the remaining columns
+by (signature, column index), still recording the signature of every
+level so pruning and the first-leaf witness are those of the full
+search.  Only column orders are tracked; the form is packed once, from
+the winning order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (chain, combinations, combinations_with_replacement, islice,
+                       permutations)
+from math import comb
 
 import numpy as np
 
 from .codes import LinearCode, is_self_orthogonal, min_distance, weight_distribution
-from .gf2 import BitMatrix, Infeasible
+from .gf2 import BitMatrix, CertificateError, Infeasible
 
 __all__ = [
     "CanonicalCode",
@@ -63,50 +74,63 @@ def canonical_form(c: LinearCode) -> CanonicalCode:
     ]
     full = (1 << nw) - 1
     best_sig: list = [None] * (n + 1)
-    best_leaf: list = [None]
-    best_perm: list = [None]
+    best_perm: list = [None]  # first leaf under the current best_sig
 
-    def rec(blocks, keys, used: int, chosen: tuple[int, ...]):
-        level = len(chosen) + 1
-        fresh: dict[int, int] = {}
-        for col in range(n):
-            if not (used >> col) & 1 and colmask[col] not in fresh:
-                fresh[colmask[col]] = col
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for cm, col in fresh.items():
-            sig = tuple((b & cm).bit_count() for b in blocks)
-            groups.setdefault(sig, []).append(col)
-        # Only the least signature can extend a least level sequence.
-        sig = min(groups)
-        if best_sig[level] is not None and sig > best_sig[level]:
-            return
-        if best_sig[level] is None or sig < best_sig[level]:
+    def improve(level: int, sig: tuple) -> bool:
+        # False when sig loses to the best level sequence found so far
+        best = best_sig[level]
+        if best is not None and sig > best:
+            return False
+        if best is None or sig < best:
             best_sig[level] = sig
             for deeper in range(level + 1, n + 1):
                 best_sig[deeper] = None
-            best_leaf[0] = None
-        for col in groups[sig]:
-            cm = colmask[col]
-            nb, nk = [], []
-            for b, key in zip(blocks, keys):
-                b0 = b & ~cm
-                b1 = b & cm
-                if b0:
-                    nb.append(b0)
-                    nk.append(key << 1)
-                if b1:
-                    nb.append(b1)
-                    nk.append((key << 1) | 1)
-            if level == n:
-                if best_leaf[0] is None:
-                    # all 2^k words distinct, so blocks are singletons here
-                    best_leaf[0] = tuple(nk)
-                    best_perm[0] = chosen + (col,)
-            else:
-                rec(nb, nk, used | (1 << col), chosen + (col,))
+            best_perm[0] = None
+        return True
 
-    rec([full], [0], 0, ())
-    return CanonicalCode(n, k, best_leaf[0], best_perm[0])
+    def finish(blocks, free: list[int], chosen: tuple[int, ...]):
+        # Every block is one codeword, so each remaining column has its own
+        # 0/1 signature and the least one always comes next: the order is
+        # the remaining columns sorted by signature, equal columns by index.
+        owners = [b.bit_length() - 1 for b in blocks]
+        order = sorted(
+            (tuple([(colmask[col] >> w) & 1 for w in owners]), col) for col in free
+        )
+        for level, (sig, _) in enumerate(order, len(chosen) + 1):
+            if not improve(level, sig):
+                return
+        if best_perm[0] is None:
+            best_perm[0] = chosen + tuple(col for _, col in order)
+
+    def rec(blocks, free: list[int], chosen: tuple[int, ...]):
+        if len(blocks) == nw:
+            # all 2^k words distinct, so this happens by level n at the latest
+            finish(blocks, free, chosen)
+            return
+        fresh: dict[int, int] = {}
+        for col in free:
+            fresh.setdefault(colmask[col], col)
+        # Only the least signature can extend a least level sequence.
+        sig = None
+        group: list[int] = []
+        for cm, col in fresh.items():
+            s = tuple([(b & cm).bit_count() for b in blocks])
+            if sig is None or s < sig:
+                sig, group = s, [col]
+            elif s == sig:
+                group.append(col)
+        if not improve(len(chosen) + 1, sig):
+            return
+        for col in group:
+            cm = colmask[col]
+            nb = [part for b in blocks for part in (b & ~cm, b & cm) if part]
+            rec(nb, [f for f in free if f != col], chosen + (col,))
+
+    rec([full], list(range(n)), ())
+    perm = best_perm[0]
+    # canonical column 0 is the most significant bit of each packed word
+    form = map(c.gen.take_columns(perm[::-1]).vec_mul, range(nw))
+    return CanonicalCode(n, k, tuple(sorted(form)), perm)
 
 
 def equivalent(a: LinearCode, b: LinearCode) -> bool:
@@ -139,15 +163,25 @@ def _basis_sets(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _bit_perm_tables(k: int) -> list[bytes]:
-    # byte translate tables realizing coordinate permutations on vectors
-    tabs = []
-    for perm in permutations(range(k)):
-        tab = [0] * 256
-        for v in range(1 << k):
-            tab[v] = sum(((v >> i) & 1) << perm[i] for i in range(k))
-        tabs.append(bytes(tab))
-    return tabs
+def _bit_perm_tables(k: int) -> np.ndarray:
+    # tabs[p, v]: vector v with its coordinates moved by the p-th permutation
+    perms = np.array(list(permutations(range(k))))
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    return (bits[None] << perms[:, None, :]).sum(axis=2).astype(np.uint8)
+
+
+def _lex_min(keys: np.ndarray) -> np.ndarray:
+    """Lexicographically least row over axis 0 of a (P, L, W) uint64 array."""
+    least = np.empty(keys.shape[1:], dtype=np.uint64)
+    alive = np.ones(keys.shape[:2], dtype=bool)
+    for w in range(keys.shape[2]):
+        col = np.where(alive, keys[:, :, w], ~np.uint64(0))
+        least[:, w] = col.min(axis=0)
+        alive &= col == least[:, w]
+    return least
+
+
+_CAT_BATCH = 1024  # multisets keyed per numpy batch; bounds the scratch memory
 
 
 def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
@@ -156,9 +190,15 @@ def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
     A class is determined by the multiset of the k(t-1) columns up to
     permuting the k coordinates, so classes are enumerated as multisets
     of unordered bases and deduplicated under the coordinate action.
-    Returns (count, representatives); each representative is a tuple of
+    The key of a multiset is its least sorted column sequence over all
+    k! coordinate permutations.  Multisets are walked in
+    combinations_with_replacement order and keyed in numpy batches; the
+    first multiset seen with a key represents it.  Returns (count,
+    representatives) in key order; each representative is a tuple of
     t-1 bases whose concatenation realizes the class.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if t < 2:
         raise ValueError("need t >= 2")
     if k > 4 or (k == 4 and not allow_slow):
@@ -168,14 +208,26 @@ def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
             else f"k={k} exceeds the Cat enumeration guard"
         )
     bases = _basis_sets(k)
-    tabs = _bit_perm_tables(k)
-    seen: dict[bytes, tuple] = {}
-    for combo in combinations_with_replacement(range(len(bases)), t - 1):
-        ms = bytes(sorted(v for bi in combo for v in bases[bi]))
-        key = min(bytes(sorted(ms.translate(tab))) for tab in tabs)
-        if key not in seen:
-            seen[key] = tuple(bases[bi] for bi in combo)
-    reps = [seen[key] for key in sorted(seen)]
+    # images[p, b]: basis b under the p-th coordinate permutation
+    images = _bit_perm_tables(k)[:, np.array(bases)]
+    nperm, nb, _ = images.shape
+    width = k * (t - 1)
+    # keys are zero-padded to whole big-endian words, so comparing word
+    # tuples compares the column sequences lexicographically
+    nbytes = -(-width // 8) * 8
+    first: dict[tuple[int, ...], list[int]] = {}
+    walk = combinations_with_replacement(range(nb), t - 1)
+    for _ in range(0, comb(nb + t - 2, t - 1), _CAT_BATCH):
+        combos = np.fromiter(
+            chain.from_iterable(islice(walk, _CAT_BATCH)), dtype=np.intp
+        ).reshape(-1, t - 1)
+        seq = np.zeros((nperm, len(combos), nbytes), dtype=np.uint8)
+        seq[:, :, :width] = images[:, combos].reshape(nperm, len(combos), width)
+        seq[:, :, :width].sort(axis=2)
+        keys = _lex_min(seq.view(">u8").astype(np.uint64))
+        for key, combo in zip(map(tuple, keys.tolist()), combos.tolist()):
+            first.setdefault(key, combo)
+    reps = [tuple(bases[bi] for bi in first[key]) for key in sorted(first)]
     return len(reps), reps
 
 
@@ -351,6 +403,8 @@ def classify_tcis(k: int, t: int = 3, method: int = 2, allow_slow: bool = False)
     deduplicates; method 1 grows the code one invertible block at a time,
     deduplicating after every block.  Both return identical class sets.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if t not in (2, 3):
         raise ValueError("classification is implemented for t in {2, 3}")
     if method not in (1, 2):
@@ -396,10 +450,14 @@ def classify_tcis(k: int, t: int = 3, method: int = 2, allow_slow: bool = False)
     from .partition import t_cis_partition
 
     counts: dict[int, list[int]] = {}
-    for code in reps:
-        assert t_cis_partition(code, t).is_partition
+    for i, code in enumerate(reps):
+        if not t_cis_partition(code, t).is_partition:
+            raise CertificateError(
+                f"class {i} of [{t * k},{k}] has no {t}-CIS partition"
+            )
         d = min_distance(code)
-        assert d >= t
+        if d < t:
+            raise CertificateError(f"class {i} of [{t * k},{k}] has distance {d} < {t}")
         so = is_self_orthogonal(code)
         cell = counts.setdefault(d, [0, 0])
         cell[0 if so else 1] += 1

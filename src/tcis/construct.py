@@ -254,6 +254,10 @@ def mass_formula_check(k: int, t: int) -> MassReport:
     """
     from .classify import canonical_form
 
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if t < 1:
+        raise ValueError("t must be at least 1")
     g = gl2_size(k)
     total = g ** (t - 1)
     if total > MASS_CAP:

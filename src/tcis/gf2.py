@@ -11,6 +11,7 @@ from collections.abc import Iterable, Sequence
 
 __all__ = [
     "Infeasible",
+    "CertificateError",
     "BitMatrix",
     "parity_dot",
     "vec_from_str",
@@ -32,6 +33,10 @@ POLY_DEGREE_CAP = 4096
 
 class Infeasible(RuntimeError):
     """An operation refused to start because it would blow its size guard."""
+
+
+class CertificateError(RuntimeError):
+    """A computed result failed its own re-verification; this is a bug."""
 
 
 def parity_dot(a: int, b: int) -> int:

@@ -2,12 +2,17 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from tcis import formats
 from tcis.codes import LinearCode
 from tcis.gf2 import BitMatrix, rank
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "tcis" / "data"
+
+# Property tests draw the same examples on every run and stay short.
+settings.register_profile("tcis", derandomize=True, max_examples=40, deadline=None)
+settings.load_profile("tcis")
 
 
 @pytest.fixture(scope="session")

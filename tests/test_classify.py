@@ -1,11 +1,15 @@
 """Tests for canonical forms, invertible-block classes, and classification."""
 
+import hashlib
 from functools import reduce
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from operator import xor
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+import tcis.partition
 from conftest import random_code, random_invertible
 from tcis.classify import (
     CANONICAL_N_CAP,
@@ -17,25 +21,77 @@ from tcis.classify import (
     equivalent,
 )
 from tcis.codes import LinearCode, is_self_orthogonal, min_distance
-from tcis.gf2 import BitMatrix, Infeasible, rank
-from tcis.partition import t_cis_partition
+from tcis.gf2 import BitMatrix, CertificateError, Infeasible, rank
+from tcis.partition import Violation, t_cis_partition
 
 
 def brute_form(c):
-    """Minimum over all column orders of the sorted packed-codeword tuple."""
+    """Minimum over all column orders of the sorted packed-codeword tuple.
+
+    Walks every order depth first; the first column chosen is the most
+    significant bit of each packed codeword.
+    """
     words = c.codewords()
-    n = c.n
+    cols = [[(w >> j) & 1 for w in words] for j in range(c.n)]
     best = None
-    for perm in permutations(range(n)):
-        mapped = tuple(
-            sorted(
-                sum(((w >> perm[j]) & 1) << (n - 1 - j) for j in range(n))
-                for w in words
-            )
-        )
-        if best is None or mapped < best:
-            best = mapped
+
+    def walk(vals, left):
+        nonlocal best
+        if not left:
+            form = tuple(sorted(vals))
+            if best is None or form < best:
+                best = form
+            return
+        for j in left:
+            vals_j = [(v << 1) | b for v, b in zip(vals, cols[j])]
+            walk(vals_j, [i for i in left if i != j])
+
+    walk([0] * len(words), list(range(c.n)))
     return best
+
+
+def repack(c, perm):
+    """Sorted codewords with source column perm[j] at canonical position j."""
+    n = c.n
+    return tuple(
+        sorted(
+            sum(((w >> perm[j]) & 1) << (n - 1 - j) for j in range(n))
+            for w in c.codewords()
+        )
+    )
+
+
+@st.composite
+def codes_up_to_8(draw):
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(n, 3)))
+    # columns drawn as k-bit vectors, so zero and repeated columns are common
+    cols = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n))
+    rows = [sum(((col >> i) & 1) << j for j, col in enumerate(cols)) for i in range(k)]
+    assume(rank(BitMatrix(rows, n)) == k)
+    return LinearCode(BitMatrix(rows, n))
+
+
+def reference_cat(k, t):
+    """Cat classes by byte-translated multisets, one multiset at a time.
+
+    The straightforward form of enumerate_cat: same walk order, same
+    first-seen representatives, same key order.
+    """
+    bases = [
+        b for b in combinations(range(1, 1 << k), k) if rank(BitMatrix(list(b), k)) == k
+    ]
+    tabs = [
+        bytes(sum(((v >> i) & 1) << perm[i] for i in range(k)) for v in range(256))
+        for perm in permutations(range(k))
+    ]
+    seen = {}
+    for combo in combinations_with_replacement(range(len(bases)), t - 1):
+        ms = bytes(sorted(v for bi in combo for v in bases[bi]))
+        key = min(bytes(sorted(ms.translate(tab))) for tab in tabs)
+        seen.setdefault(key, tuple(bases[bi] for bi in combo))
+    reps = [seen[key] for key in sorted(seen)]
+    return len(reps), reps
 
 
 def shuffled(rng, c):
@@ -58,14 +114,16 @@ def test_canonical_witness_is_consistent(rng):
         cf = canonical_form(c)
         assert (cf.n, cf.k) == (c.n, c.k)
         assert sorted(cf.perm) == list(range(c.n))
-        packed = tuple(
-            sorted(
-                sum(((w >> cf.perm[j]) & 1) << (c.n - 1 - j) for j in range(c.n))
-                for w in c.codewords()
-            )
-        )
-        assert packed == cf.form
+        assert repack(c, cf.perm) == cf.form
         assert cf.form == tuple(sorted(cf.form))
+
+
+@given(codes_up_to_8())
+def test_canonical_form_matches_brute_property(c):
+    cf = canonical_form(c)
+    assert cf.form == brute_form(c)
+    assert sorted(cf.perm) == list(range(c.n))
+    assert repack(c, cf.perm) == cf.form
 
 
 def test_canonical_form_is_permutation_invariant(rng):
@@ -139,11 +197,34 @@ def test_cat_guards():
         enumerate_cat(5, allow_slow=True)
     with pytest.raises(ValueError):
         enumerate_cat(2, t=1)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            enumerate_cat(k)
 
 
 @pytest.mark.slow
 def test_cat_count_k4():
     assert enumerate_cat(4, allow_slow=True)[0] == 4822
+
+
+CAT_SIZES = [(k, t) for k in (1, 2, 3) for t in (2, 3, 4)] + [(4, 2)]
+
+
+@pytest.mark.parametrize("k,t", CAT_SIZES)
+def test_cat_matches_reference(k, t):
+    assert enumerate_cat(k, t, allow_slow=True) == reference_cat(k, t)
+
+
+@pytest.mark.parametrize("k,t", [(3, 4), (3, 5), (2, 6)])
+def test_cat_wide_keys(k, t):
+    # k(t-1) > 8 column bytes: keys span more than one 64-bit word
+    assert k * (t - 1) > 8
+    assert enumerate_cat(k, t) == reference_cat(k, t)
+
+
+@pytest.mark.slow
+def test_cat_matches_reference_k4():
+    assert enumerate_cat(4, allow_slow=True) == reference_cat(4, 3)
 
 
 def test_classify_small_lengths():
@@ -166,6 +247,48 @@ def test_classify_length_12():
     reps, row = classify_tcis(4)
     assert len(reps) == 361
     assert row.by_d == ((3, (0, 170)), (4, (6, 172)), (5, (0, 12)), (6, (0, 1)))
+
+
+def class_digest(k, t):
+    reps, row = classify_tcis(k, t)
+    text = repr(([c.gen.rows for c in reps], row.length, row.by_d))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of the class representatives' generator rows and the summary
+# row, recorded from the byte-translate Cat enumeration and the canonical
+# search before its leaf shortcut; the class order and the representative
+# of each class are part of what is pinned.
+CLASS_DIGESTS = {
+    (1, 3): "9edae820782e6ef58495762da8fc2d576f34fa4457737fa970f3b22c837efa4c",
+    (2, 3): "90a7c27b809a469fa76a423f9f2b56245834e1cef6cb138a2e42f1990cc7822d",
+    (3, 3): "60ccc27b0b4807bbc6e1451915d921781b1ddaf27934bc4156cf23a955a7d5fd",
+    (1, 2): "26764f3e4a076990b8ee725c3a6a3db4f7e9ed2d9ce6d4ef6427cb2e942913bb",
+    (2, 2): "e97f7c3f53c937f72c5dc7462bd74bdbc1f7f91bc007171a980c0fe055ce2ba1",
+    (3, 2): "d3004c8aed2a1523630f322e17a214b1358624c946c6351b189128d2335aa159",
+    (4, 2): "aa35d9f40b31d5c852bccdfb988eb2292d06627827439e00701bc67a74f767c2",
+}
+
+
+@pytest.mark.parametrize("k,t", sorted(CLASS_DIGESTS))
+def test_classify_digest(k, t):
+    assert class_digest(k, t) == CLASS_DIGESTS[k, t]
+
+
+@pytest.mark.slow
+def test_classify_digest_length_12():
+    assert class_digest(4, 3) == (
+        "1fe0202c78a8a522f9908b03cb4229bc888b29cb8df8bf945b2368f5f993ed7d"
+    )
+
+
+def test_classify_certificate_failure_raises(monkeypatch):
+    def no_partition(code, t):
+        return Violation(tuple(range(code.n)), code.k, t)
+
+    monkeypatch.setattr(tcis.partition, "t_cis_partition", no_partition)
+    with pytest.raises(CertificateError, match="no 3-CIS partition"):
+        classify_tcis(2)
 
 
 def test_methods_agree_small():
@@ -220,6 +343,9 @@ def test_classify_guards():
         classify_tcis(5, method=2, allow_slow=True)
     with pytest.raises(Infeasible):
         classify_tcis(6, allow_slow=True)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            classify_tcis(k)
 
 
 def test_class_table_row_cells():

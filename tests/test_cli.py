@@ -152,6 +152,21 @@ def test_classify_guard_exit(capsys):
     assert rc == 3 and out == "" and err.startswith("infeasible:")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["classify", "-1"], "error: k must be at least 1"),
+        (["classify", "0"], "error: k must be at least 1"),
+        (["masscheck", "2", "0"], "error: t must be at least 1"),
+        (["masscheck", "0", "2"], "error: k must be at least 1"),
+    ],
+)
+def test_domain_errors_exit_2(capsys, argv, message):
+    rc, out, err = run(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.strip() == message
+
+
 def test_bounds(capsys):
     rc, out, _ = run(capsys, ["bounds", "1", "3"])
     assert rc == 0

@@ -155,6 +155,12 @@ def test_mass_formula_anchors():
         assert sum(rep.class_sizes) == rep.group_power
 
 
+def test_mass_formula_domain_errors():
+    for k, t, message in [(0, 3, "k must be"), (-1, 2, "k must be"), (2, 0, "t must be")]:
+        with pytest.raises(ValueError, match=message):
+            mass_formula_check(k, t)
+
+
 def test_mass_class_count_matches_classification():
     # class count over systematic codes equals the classification total
     rep = mass_formula_check(2, 3)
