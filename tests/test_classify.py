@@ -14,6 +14,7 @@ from conftest import random_code, random_invertible
 from tcis.classify import (
     CANONICAL_N_CAP,
     ClassTableRow,
+    _basis_sets,
     canonical_form,
     class_table_text,
     classify_tcis,
@@ -279,6 +280,15 @@ def test_classify_digest(k, t):
 def test_classify_digest_length_12():
     assert class_digest(4, 3) == (
         "1fe0202c78a8a522f9908b03cb4229bc888b29cb8df8bf945b2368f5f993ed7d"
+    )
+
+
+def test_basis_sets_pinned():
+    # SHA-256 of the k=4 bases in order, recorded before the independence
+    # test was folded into gf2.Echelon
+    text = repr(_basis_sets(4))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "cf27f7f54dd6caa384d47f7adef465bf32b43df958dc1e523175c6b299867ffe"
     )
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -19,7 +21,7 @@ from tcis.codes import (
     systematic_form,
     weight_distribution,
 )
-from tcis.gf2 import BitMatrix, Infeasible, parity_dot
+from tcis.gf2 import BitMatrix, Infeasible, parity_dot, rank
 
 
 def test_linear_code_validation():
@@ -242,3 +244,46 @@ def test_star_fill_zero_columns():
     # as many zero columns as rows: cannot fill
     with pytest.raises(ValueError):
         star_fill_zero_columns(LinearCode(BitMatrix.from_strings(["010"])))
+
+
+def _front_dependent_code(rng, n, k):
+    """Full-rank [n, k] code whose leading columns are often zero or repeated.
+
+    The first k columns are then dependent and systematic_form has to move
+    pivots forward.
+    """
+    while True:
+        cols = [rng.randrange(1 << k) for _ in range(n)]
+        for j in range(1, min(k, n - k + 1)):
+            if rng.random() < 0.5:
+                cols[j] = rng.choice((0, cols[j - 1]))
+        rows = [sum(((col >> i) & 1) << j for j, col in enumerate(cols)) for i in range(k)]
+        m = BitMatrix(rows, n)
+        if rank(m) == k:
+            return LinearCode(m)
+
+
+def systematic_and_dual_outputs(seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(120):
+        n = rng.randrange(1, 21)
+        k = rng.randrange(1, n + 1)
+        c = _front_dependent_code(rng, n, k) if rng.random() < 0.5 else random_code(rng, n, k)
+        s, perm = systematic_form(c)
+        d = dual(c)
+        out.append((s.gen.rows, perm, "zero" if isinstance(d, ZeroCode) else d.gen.rows))
+    return out
+
+
+# SHA-256 of systematic_form's rows and permutation and of dual's rows,
+# recorded before their pivot scans were folded into gf2.Echelon.
+SYSTEMATIC_DUAL_DIGEST = "aef91d5c02dac47370b39319d8826b22c2081040aad82907b5bb997389930beb"
+
+
+def test_systematic_form_and_dual_pinned():
+    outputs = systematic_and_dual_outputs(0x5E7)
+    moved = sum(perm != tuple(range(len(perm))) for _, perm, _ in outputs)
+    assert moved > 20 and sum(d == "zero" for *_, d in outputs) > 0
+    text = repr(outputs)
+    assert hashlib.sha256(text.encode()).hexdigest() == SYSTEMATIC_DUAL_DIGEST

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -219,3 +220,12 @@ def test_m_count_matches_direct_sum():
     for k in (1, 2, 3):
         for d in range(0, 3 * k + 1):
             assert m_count(k, d) == brute_m_count(k, d)
+
+
+def test_gl2_matrices_order_pinned():
+    # SHA-256 of the DFS order, recorded before the independence test was
+    # folded into gf2.Echelon
+    text = repr(list(gl2_matrices(3)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "665b6e45b6399277ec5aa57504e9617560f72d25b40ec5f9df303bcbfb782c9b"
+    )

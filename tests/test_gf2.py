@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from conftest import random_full_rank, random_invertible
@@ -135,3 +138,27 @@ def test_poly_gcd(rng):
 def test_poly_degree_cap():
     with pytest.raises(Infeasible):
         poly_mul(1 << 5000, 0b11)
+
+
+def solve_outputs(seed):
+    """solve_in_span on seeded bases, targets in and out of the span."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(150):
+        n = rng.randrange(1, 13)
+        k = rng.randrange(1, n + 1)
+        basis = random_full_rank(rng, n, k).transpose()
+        out.append([solve_in_span(basis, rng.randrange(1 << n)) for _ in range(6)])
+    return out
+
+
+# SHA-256 of solve_in_span's answers, recorded before its elimination was
+# folded into Echelon.
+SOLVE_DIGEST = "001fe60a59d090505f1bd92a35ed06e67d812ab84bf44cf503a81d84e79bd954"
+
+
+def test_solve_in_span_pinned():
+    outputs = solve_outputs(0x501E)
+    answers = [a for row in outputs for a in row]
+    assert answers.count(None) > 100 and len(answers) - answers.count(None) > 100
+    assert hashlib.sha256(repr(outputs).encode()).hexdigest() == SOLVE_DIGEST

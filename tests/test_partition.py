@@ -1,8 +1,10 @@
+import hashlib
+import random
 from itertools import combinations
 
 import pytest
 
-from conftest import random_code, systematic_cis_code
+from conftest import random_code, random_invertible, systematic_cis_code
 from tcis.codes import LinearCode
 from tcis.gf2 import BitMatrix, rank
 from tcis.partition import (
@@ -163,3 +165,71 @@ def test_qc_243_9_is_27_cis(qc_243_9):
     code, _ = qc_build(qc_243_9)
     p = t_cis_partition(code, 27)
     _assert_valid_partition(code, 27, p)
+
+
+def _planted_code(rng, k, t):
+    """Random [tk, k] code with t*r + 1 columns squeezed into r coordinates.
+
+    Those columns span at most r dimensions, so the code has no t-CIS
+    partition and the walk must return a violation.
+    """
+    n = t * k
+    while True:
+        r = rng.randrange(0, k)
+        cols = [rng.randrange(1 << k) for _ in range(n)]
+        for j in rng.sample(range(n), t * r + 1):
+            cols[j] = rng.randrange(1 << r)
+        rows = [sum(((col >> i) & 1) << j for j, col in enumerate(cols)) for i in range(k)]
+        m = BitMatrix(rows, n)
+        if rank(m) == k:
+            return LinearCode(m)
+
+
+def _scrambled_cis_code(rng, k, t):
+    c = systematic_cis_code(rng, k, t)
+    perm = list(range(c.n))
+    rng.shuffle(perm)
+    u = random_invertible(rng, k)
+    return LinearCode(u.mul(c.gen.take_columns(perm)))
+
+
+def partition_outcomes(seed):
+    """Walk outcomes on seeded random, planted and scrambled CIS codes."""
+    rng = random.Random(seed)
+    out = []
+    for t in range(2, 7):
+        for k in range(1, 6):
+            for make in (random_code, _planted_code, _scrambled_cis_code):
+                for _ in range(3):
+                    c = make(rng, t * k, k) if make is random_code else make(rng, k, t)
+                    res = t_cis_partition(c, t)
+                    if res.is_partition:
+                        out.append(("P", res.sets))
+                    else:
+                        out.append(("V", res.columns, res.rank))
+    return out
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+# SHA-256 of the walk's certificates, recorded before the GF(2) loops of
+# partition were folded into gf2.Echelon: the chosen sets, their order and
+# the violation columns are all pinned.
+PARTITION_DIGEST = "890ad95d86d25be75aa3126b41e4e5001ead43782d9ea21faa806b3f656e62fb"
+QC_243_9_DIGEST = "fd7ea8e541410deaa0e99067c128712e086102437d5f5da34c0df510e038edcb"
+
+
+def test_partition_outcomes_pinned():
+    outcomes = partition_outcomes(0x7C15)
+    kinds = [o[0] for o in outcomes]
+    assert kinds.count("P") > 50 and kinds.count("V") > 50
+    assert _digest(outcomes) == PARTITION_DIGEST
+
+
+def test_qc_243_9_partition_pinned(qc_243_9):
+    from tcis.construct import qc_build
+
+    code, _ = qc_build(qc_243_9)
+    assert _digest(t_cis_partition(code, 27).sets) == QC_243_9_DIGEST
