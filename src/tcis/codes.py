@@ -9,10 +9,11 @@ in the usual normalization.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, Infeasible, parity_dot, rank
+from .gf2 import (BitMatrix, CertificateError, Echelon, Infeasible, invert, parity_dot,
+                  rank)
 
 __all__ = [
     "LinearCode",
@@ -180,32 +181,15 @@ def systematic_form(c: LinearCode) -> tuple[LinearCode, tuple[int, ...]]:
     """
     g = c.gen
     k, n = g.nrows, g.ncols
-    pivots: list[int] = []
-    lead: dict[int, int] = {}
-    for j in range(n):
-        v = g.column(j)
-        while v:
-            b = v.bit_length() - 1
-            if b not in lead:
-                break
-            v ^= lead[b]
-        if v:
-            lead[v.bit_length() - 1] = v
-            pivots.append(j)
-            if len(pivots) == k:
-                break
-    assert len(pivots) == k
-    if pivots == list(range(k)):
-        perm = tuple(range(n))
-        reordered = g
-    else:
-        rest = [j for j in range(n) if j not in set(pivots)]
-        perm = tuple(pivots + rest)
-        reordered = g.take_columns(perm)
-    from .gf2 import invert
-
+    pivots = Echelon(g.columns()).pivots
+    if len(pivots) != k:
+        raise CertificateError(f"found {len(pivots)} pivot columns for rank {k}")
+    rest = set(range(n)) - set(pivots)
+    perm = tuple(pivots + sorted(rest))
+    reordered = g if perm == tuple(range(n)) else g.take_columns(perm)
     u = invert(reordered.take_columns(range(k)))
-    assert u is not None
+    if u is None:
+        raise CertificateError("pivot columns are singular")
     return LinearCode(u.mul(reordered)), perm
 
 
@@ -318,31 +302,14 @@ def dual(c: LinearCode) -> LinearCode | ZeroCode:
     k, n = g.nrows, g.ncols
     if k == n:
         return ZeroCode(n)
-    # Reduce to RREF, read the kernel off the free columns.  Each stored
-    # row owns exactly one pivot bit, so one pass per pivot fully reduces.
-    lead: dict[int, int] = {}
-    for r in g.rows:
-        v = r
-        for b, row in lead.items():
-            if (v >> b) & 1:
-                v ^= row
-        if v:
-            b = (v & -v).bit_length() - 1
-            for p in lead:
-                if (lead[p] >> b) & 1:
-                    lead[p] ^= v
-            lead[b] = v
-    pivots = sorted(lead)
-    free = [j for j in range(n) if j not in lead]
-    rows = []
-    for f in free:
-        v = 1 << f
-        for p in pivots:
-            if (lead[p] >> f) & 1:
-                v |= 1 << p
-        rows.append(v)
-    d = LinearCode(BitMatrix(rows, n))
-    assert d.k == n - k
+    # Pivots are the greedy independent columns; each other column f is a
+    # sum of pivot columns, and e_f plus those pivots is a kernel vector.
+    cols = g.columns()
+    span = Echelon(cols)
+    free = sorted(set(range(n)) - set(span.pivots))
+    d = LinearCode(BitMatrix([(1 << f) | span.express(cols[f]) for f in free], n))
+    if d.k != n - k:
+        raise CertificateError(f"dual has dimension {d.k}, not {n - k}")
     return d
 
 

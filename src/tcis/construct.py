@@ -14,6 +14,8 @@ from itertools import product
 from .codes import LinearCode
 from .gf2 import (
     BitMatrix,
+    CertificateError,
+    Echelon,
     Infeasible,
     invert,
     parity_dot,
@@ -211,26 +213,16 @@ def gl2_size(k: int) -> int:
 def gl2_matrices(k: int):
     """All invertible k x k matrices, as row tuples, in DFS order."""
 
-    def grow(rows: list[int], lead: dict[int, int]):
+    def grow(rows: tuple[int, ...]):
         if len(rows) == k:
-            yield tuple(rows)
+            yield rows
             return
+        span = Echelon(rows)
         for r in range(1, 1 << k):
-            v = r
-            while v:
-                b = v.bit_length() - 1
-                if b not in lead:
-                    break
-                v ^= lead[b]
-            if v == 0:
-                continue
-            lead2 = dict(lead)
-            lead2[v.bit_length() - 1] = v
-            rows.append(r)
-            yield from grow(rows, lead2)
-            rows.pop()
+            if r not in span:
+                yield from grow(rows + (r,))
 
-    yield from grow([], {})
+    yield from grow(())
 
 
 @dataclass(frozen=True)
@@ -256,8 +248,8 @@ def mass_formula_check(k: int, t: int) -> MassReport:
 
     if k < 1:
         raise ValueError("k must be at least 1")
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    if t < 2:
+        raise ValueError("t must be at least 2")
     g = gl2_size(k)
     total = g ** (t - 1)
     if total > MASS_CAP:
@@ -274,7 +266,8 @@ def mass_formula_check(k: int, t: int) -> MassReport:
         form = canonical_form(LinearCode(BitMatrix(rows, t * k))).form
         counts[form] = counts.get(form, 0) + 1
     report = MassReport(k, t, total, tuple(sorted(counts.values(), reverse=True)))
-    assert report.consistent
+    if not report.consistent:
+        raise CertificateError(f"orbit sizes do not sum to {total}")
     return report
 
 

@@ -4,6 +4,11 @@ Vectors are plain Python ints: bit j holds coordinate j, so the leftmost
 character of a printed vector string is bit 0.  Matrices store one int per
 row under the same convention.  Polynomials are ints with bit j holding the
 coefficient of x**j.
+
+Every rank, span, solve and basis question is answered by one
+elimination kernel, :class:`Echelon`: a table holding one reduced row per
+leading bit, which also expresses a vector over the vectors it was built
+from.
 """
 from __future__ import annotations
 
@@ -13,6 +18,7 @@ __all__ = [
     "Infeasible",
     "CertificateError",
     "BitMatrix",
+    "Echelon",
     "parity_dot",
     "vec_from_str",
     "vec_to_str",
@@ -175,24 +181,85 @@ class BitMatrix:
         return f"BitMatrix({list(self._rows)!r}, ncols={self.ncols})"
 
 
-def _eliminate(rows: Iterable[int]) -> list[int]:
-    # Row reduce; returns pivot rows, each with a leading bit no other
-    # pivot row touches.
-    pivots: dict[int, int] = {}
-    for r in rows:
-        v = r
+class Echelon:
+    """Row-echelon table over GF(2): one stored row per leading bit.
+
+    Built from a sequence of vectors (insert appends one more), it stores
+    each vector that is independent of those before it; pivots lists their
+    positions.  Tags ride in low bits: express(v) eliminates the vectors
+    widened by one tag bit each, (u_i << m) | (1 << i), and the remainder
+    of v << m is then the mask of the pivots that sum to v.
+    """
+
+    __slots__ = ("_rows", "_vectors", "pivots")
+
+    def __init__(self, vectors: Iterable[int] = ()):
+        self._rows: dict[int, int] = {}
+        self._vectors = vectors = list(vectors)
+        self.pivots = self._sweep(vectors, True)
+
+    def _sweep(self, vectors: Iterable[int], store: bool) -> list[int]:
+        # Eliminate a whole sequence in one call.  With store, a nonzero
+        # remainder becomes a new row and the positions stored are returned;
+        # without, the positions of the vectors that reduce to zero.
+        rows = self._rows
+        hits = []
+        for j, v in enumerate(vectors):
+            while v:
+                b = v.bit_length() - 1
+                r = rows.get(b)
+                if r is None:
+                    if store:
+                        rows[b] = v
+                        hits.append(j)
+                    break
+                v ^= r
+            else:
+                if not store:
+                    hits.append(j)
+        return hits
+
+    def insert(self, v: int) -> bool:
+        """Append v; True when it was independent and is now stored."""
+        self._vectors.append(v)
+        if self._sweep((v,), True):
+            self.pivots.append(len(self._vectors) - 1)
+            return True
+        return False
+
+    def reduce(self, v: int) -> int:
+        """Remainder of v after elimination; zero exactly on the span."""
+        # _sweep reports positions only; this is its one-vector twin
+        rows = self._rows
         while v:
-            b = v.bit_length() - 1
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = v
+            r = rows.get(v.bit_length() - 1)
+            if r is None:
                 break
-            v ^= p
-    return [pivots[b] for b in sorted(pivots, reverse=True)]
+            v ^= r
+        return v
+
+    def __contains__(self, v: int) -> bool:
+        return not self.reduce(v)
+
+    def express(self, v: int) -> int | None:
+        """Mask of the pivots summing to v, bit i for position i; None off the span."""
+        if v not in self:
+            return None
+        m = len(self._vectors)
+        tagged = Echelon((u << m) | (1 << i) for i, u in enumerate(self._vectors))
+        return tagged.reduce(v << m)
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def spanned(self, vectors: Iterable[int]) -> list[int]:
+        """Positions of the vectors that lie in the span, in one call."""
+        return self._sweep(vectors, False)
 
 
 def rank(m: BitMatrix) -> int:
-    return len(_eliminate(m.rows))
+    return Echelon(m.rows).rank
 
 
 def invert(m: BitMatrix) -> BitMatrix | None:
@@ -227,30 +294,10 @@ def solve_in_span(basis: BitMatrix, target: int) -> int | None:
     raises ValueError.
     """
     cols = basis.columns()
-    # Eliminate while tagging each work vector with the column subset that
-    # produced it, so the combination falls out of the elimination.
-    pivots: dict[int, tuple[int, int]] = {}
-    for j, c in enumerate(cols):
-        v, tag = c, 1 << j
-        while v:
-            b = v.bit_length() - 1
-            hit = pivots.get(b)
-            if hit is None:
-                pivots[b] = (v, tag)
-                break
-            v ^= hit[0]
-            tag ^= hit[1]
-        else:
-            raise ValueError("basis columns are linearly dependent")
-    v, tag = target, 0
-    while v:
-        b = v.bit_length() - 1
-        hit = pivots.get(b)
-        if hit is None:
-            return None
-        v ^= hit[0]
-        tag ^= hit[1]
-    return tag
+    span = Echelon(cols)
+    if span.rank < len(cols):
+        raise ValueError("basis columns are linearly dependent")
+    return span.express(target)
 
 
 def poly_degree(p: int) -> int | None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import LinearCode
-from .gf2 import BitMatrix, Infeasible, invert
+from .gf2 import BitMatrix, CertificateError, Echelon, Infeasible, invert
 
 __all__ = [
     "ColumnMatroid",
@@ -36,16 +36,7 @@ class ColumnMatroid:
         self.cols = m.columns()
 
     def rank_of(self, idx) -> int:
-        lead: dict[int, int] = {}
-        for j in idx:
-            v = self.cols[j]
-            while v:
-                b = v.bit_length() - 1
-                if b not in lead:
-                    lead[b] = v
-                    break
-                v ^= lead[b]
-        return len(lead)
+        return Echelon(self.cols[j] for j in idx).rank
 
     def independent(self, idx) -> bool:
         idx = list(idx)
@@ -58,26 +49,7 @@ def span_closure(m: ColumnMatroid, s) -> frozenset[int]:
     The empty set spans only zero, so its closure is the zero columns.
     Closure is idempotent and always contains s.
     """
-    lead: dict[int, int] = {}
-    for j in s:
-        v = m.cols[j]
-        while v:
-            b = v.bit_length() - 1
-            if b not in lead:
-                lead[b] = v
-                break
-            v ^= lead[b]
-    out = []
-    for j in range(m.ncols):
-        v = m.cols[j]
-        while v:
-            b = v.bit_length() - 1
-            if b not in lead:
-                break
-            v ^= lead[b]
-        if v == 0:
-            out.append(j)
-    return frozenset(out)
+    return frozenset(Echelon([m.cols[j] for j in s]).spanned(m.cols))
 
 
 @dataclass(frozen=True)
@@ -107,11 +79,11 @@ class Violation:
 def _check_partition(c: LinearCode, t: int, sets) -> None:
     seen: set[int] = set()
     for s in sets:
-        assert len(s) == c.k
-        assert not (seen & set(s))
+        if len(s) != c.k or seen & set(s) or invert(c.gen.take_columns(s)) is None:
+            raise CertificateError(f"set {s} is not a fresh information set")
         seen |= set(s)
-        assert invert(c.gen.take_columns(s)) is not None
-    assert len(seen) == c.n
+    if len(seen) != c.n:
+        raise CertificateError(f"sets cover {len(seen)} of {c.n} columns")
 
 
 def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
@@ -138,8 +110,8 @@ def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
 
     def violation(s: frozenset[int], r: int) -> Violation:
         v = Violation(tuple(sorted(s)), r, t)
-        assert matroid.rank_of(v.columns) == v.rank
-        assert len(v.columns) > t * v.rank
+        if matroid.rank_of(v.columns) != r or len(s) <= t * r:
+            raise CertificateError(f"{len(s)} columns of rank {r} are no violation")
         return v
 
     while len(assigned) < n:
@@ -160,16 +132,20 @@ def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
                 if len(cur) > t * cur_rank:
                     return violation(cur, cur_rank)
                 if x not in cur:
-                    if matroid.independent(sets[idx] | {x}):
+                    # x extends sets[idx] or closes a circuit with the basis
+                    # columns named by comb; outside span(inter) it can only
+                    # do the latter when inter is not all of sets[idx]
+                    basis = list(sets[idx])
+                    comb = None
+                    if len(inter) < len(basis):
+                        comb = Echelon([cols[i] for i in basis]).express(cols[x])
+                    if comb is None:
                         sets[idx].add(x)
                         assigned.add(x)
                         placed = True
                     else:
-                        # x closes a circuit with sets[idx]; bump its
-                        # smallest circuit column outside the previous
-                        # span and re-run the walk for that column.
-                        basis = sorted(sets[idx])
-                        comb = _express(matroid, basis, cols[x])
+                        # bump the smallest circuit column outside the
+                        # previous span and re-run the walk for that column
                         circuit = {
                             basis[i] for i in range(len(basis)) if (comb >> i) & 1
                         }
@@ -200,33 +176,6 @@ def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
     result = Partition(tuple(tuple(sorted(s)) for s in sets))
     _check_partition(c, t, result.sets)
     return result
-
-
-def _express(matroid: ColumnMatroid, basis: list[int], target: int) -> int:
-    # Coefficients of target over an independent column set, as a bitmask
-    # aligned with the basis order.
-    lead: dict[int, tuple[int, int]] = {}
-    for i, j in enumerate(basis):
-        v, tag = matroid.cols[j], 1 << i
-        while v:
-            b = v.bit_length() - 1
-            hit = lead.get(b)
-            if hit is None:
-                lead[b] = (v, tag)
-                break
-            v ^= hit[0]
-            tag ^= hit[1]
-        else:
-            raise AssertionError("basis unexpectedly dependent")
-    v, tag = target, 0
-    while v:
-        b = v.bit_length() - 1
-        hit = lead.get(b)
-        if hit is None:
-            raise AssertionError("target outside basis span")
-        v ^= hit[0]
-        tag ^= hit[1]
-    return tag
 
 
 def exhaustive_partition_oracle(c: LinearCode, t: int) -> Partition | None:

@@ -13,7 +13,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from .codes import UnrestrictedCode
-from .gf2 import BitMatrix, Infeasible, invert
+from .gf2 import BitMatrix, CertificateError, Infeasible
 
 __all__ = [
     "Z4Matrix",
@@ -143,7 +143,8 @@ def z4_invert(m: Z4Matrix) -> Z4Matrix | None:
             if i != col and f:
                 aug[i] = [(a - f * b) % 4 for a, b in zip(aug[i], aug[col])]
     out = Z4Matrix([r[k:] for r in aug])
-    assert m.mul(out) == Z4Matrix.identity(k)
+    if m.mul(out) != Z4Matrix.identity(k):
+        raise CertificateError("Z4 inverse fails m * inverse = I")
     return out
 
 
@@ -260,7 +261,8 @@ def z4_t_cis_partition(c: Z4Code, t: int):
     outcome = t_cis_partition(LinearCode(c.gen.residue()), t)
     if outcome.is_partition:
         for s in outcome.sets:
-            assert z4_invert(c.gen.take_columns(s)) is not None
+            if z4_invert(c.gen.take_columns(s)) is None:
+                raise CertificateError(f"set {s} is singular over Z4")
     return outcome
 
 

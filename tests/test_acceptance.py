@@ -99,7 +99,7 @@ def test_criterion_02_classification_table(length_12_classification):
 @pytest.mark.slow
 def test_criterion_02_length_15_table():
     t0 = time.time()
-    reps, row = classify_tcis(5, method=1, allow_slow=True)
+    reps, row = classify_tcis(5, allow_slow=True)
     elapsed = time.time() - t0
     ok = len(reps) == 29372 and row.by_d == LENGTH_15_ROW
     verdict(2, ok, f"length 15 total {len(reps)} in {elapsed:.0f}s (opt-in)")

@@ -15,6 +15,7 @@ from tcis.classify import (
     CANONICAL_N_CAP,
     ClassTableRow,
     _basis_sets,
+    _classify_by_blocks,
     canonical_form,
     class_table_text,
     classify_tcis,
@@ -302,13 +303,12 @@ def test_classify_certificate_failure_raises(monkeypatch):
 
 
 def test_methods_agree_small():
+    # block growth, the k = 5, t = 2 path, against the Cat path
     for k in (1, 2, 3):
-        reps1, row1 = classify_tcis(k, method=1)
-        reps2, row2 = classify_tcis(k, method=2)
-        assert [canonical_form(c).form for c in reps1] == [
-            canonical_form(c).form for c in reps2
+        reps, _ = classify_tcis(k)
+        assert [canonical_form(c).form for c in _classify_by_blocks(k, 3)] == [
+            canonical_form(c).form for c in reps
         ]
-        assert row1 == row2
 
 
 def test_classify_reps_are_valid(rng):
@@ -345,12 +345,8 @@ def test_classify_two_factor():
 def test_classify_guards():
     with pytest.raises(ValueError):
         classify_tcis(2, t=4)
-    with pytest.raises(ValueError):
-        classify_tcis(2, method=3)
     with pytest.raises(Infeasible):
         classify_tcis(5)
-    with pytest.raises(Infeasible):
-        classify_tcis(5, method=2, allow_slow=True)
     with pytest.raises(Infeasible):
         classify_tcis(6, allow_slow=True)
     for k in (0, -1):

@@ -82,6 +82,14 @@ def test_report_full_space_dual_is_inf(capsys, tmp_path):
     assert obj["d"] == 1 and obj["dual_d"] == "inf"
 
 
+def test_cis_check_qc_spec(capsys, data_dir):
+    rc, out, err = run(capsys, ["cis-check", str(data_dir / "qc_243_9.qc"), "27"])
+    assert rc == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "YES" and len(lines) == 28
+    assert lines[-1].startswith("set 27: ")
+
+
 def test_report_qc_spec(capsys, data_dir):
     rc, out, _ = run(capsys, ["report", str(data_dir / "qc_243_9.qc")])
     assert rc == 0
@@ -157,8 +165,9 @@ def test_classify_guard_exit(capsys):
     [
         (["classify", "-1"], "error: k must be at least 1"),
         (["classify", "0"], "error: k must be at least 1"),
-        (["masscheck", "2", "0"], "error: t must be at least 1"),
+        (["masscheck", "2", "0"], "error: t must be at least 2"),
         (["masscheck", "0", "2"], "error: k must be at least 1"),
+        (["masscheck", "2", "1"], "error: t must be at least 2"),
     ],
 )
 def test_domain_errors_exit_2(capsys, argv, message):
@@ -244,13 +253,6 @@ def test_z4_derive(capsys, data_dir):
     assert lines[0] == "F_1:"
     assert lines[1] == "perm 8"
     assert len(lines) == 2 + 256
-
-
-def test_jobs_validation(capsys):
-    rc, out, err = run(capsys, ["bounds", "1", "3", "--jobs", "0"])
-    assert rc == 2 and out == "" and "--jobs" in err
-    rc, _, _ = run(capsys, ["bounds", "1", "3", "--jobs", "4"])
-    assert rc == 0
 
 
 def test_parse_failures_exit_2(capsys, tmp_path):

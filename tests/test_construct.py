@@ -157,7 +157,12 @@ def test_mass_formula_anchors():
 
 
 def test_mass_formula_domain_errors():
-    for k, t, message in [(0, 3, "k must be"), (-1, 2, "k must be"), (2, 0, "t must be")]:
+    for k, t, message in [
+        (0, 3, "k must be at least 1"),
+        (-1, 2, "k must be at least 1"),
+        (2, 0, "t must be at least 2"),
+        (2, 1, "t must be at least 2"),
+    ]:
         with pytest.raises(ValueError, match=message):
             mass_formula_check(k, t)
 

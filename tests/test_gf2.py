@@ -1,11 +1,16 @@
 import hashlib
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_full_rank, random_invertible
 from tcis.gf2 import (
     BitMatrix,
+    Echelon,
     Infeasible,
     invert,
     parity_dot,
@@ -162,3 +167,45 @@ def test_solve_in_span_pinned():
     answers = [a for row in outputs for a in row]
     assert answers.count(None) > 100 and len(answers) - answers.count(None) > 100
     assert hashlib.sha256(repr(outputs).encode()).hexdigest() == SOLVE_DIGEST
+
+
+def brute_span(vectors) -> set[int]:
+    span = {0}
+    for v in vectors:
+        span |= {s ^ v for s in span}
+    return span
+
+
+@st.composite
+def vector_sets(draw):
+    n = draw(st.integers(1, 10))
+    vectors = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    return n, vectors
+
+
+@given(vector_sets())
+def test_echelon_matches_brute_span(case):
+    n, vectors = case
+    e = Echelon(vectors)
+    span = brute_span(vectors)
+    assert 1 << e.rank == len(span)
+    assert e.pivots == [
+        i for i, v in enumerate(vectors) if v not in brute_span(vectors[:i])
+    ]
+    targets = range(1 << n)
+    assert e.spanned(targets) == sorted(span)
+    for v in targets:
+        comb = e.express(v)
+        assert (v in e) == (v in span) == (comb is not None) == (e.reduce(v) == 0)
+        assert e.reduce(v) ^ v in span
+        if comb is not None:
+            assert {i for i in range(len(vectors)) if comb >> i & 1} <= set(e.pivots)
+            assert reduce(xor, (vectors[i] for i in e.pivots if comb >> i & 1), 0) == v
+
+
+def test_echelon_insert():
+    e = Echelon([0b011])
+    assert e.insert(0b110) and not e.insert(0b101) and e.insert(0b001)
+    assert e.rank == 3 and e.pivots == [0, 1, 3]
+    assert e.express(0b101) == 0b011 and e.express(0b111) == 0b1010
+    assert Echelon([0b01, 0b01]).express(0b10) is None

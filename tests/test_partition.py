@@ -1,6 +1,10 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +237,33 @@ def test_qc_243_9_partition_pinned(qc_243_9):
 
     code, _ = qc_build(qc_243_9)
     assert _digest(t_cis_partition(code, 27).sets) == QC_243_9_DIGEST
+
+
+OPTIMIZED_RECHECK = """
+import tcis.codes, tcis.partition
+from tcis.codes import LinearCode
+from tcis.gf2 import BitMatrix, CertificateError
+
+if __debug__:
+    raise SystemExit("assertions are still on")
+tcis.partition.invert = tcis.codes.invert = lambda m: None
+code = LinearCode(BitMatrix.identity(2).hstack(BitMatrix.identity(2)))
+for check in (lambda: tcis.partition.t_cis_partition(code, 2),
+              lambda: tcis.codes.systematic_form(code)):
+    try:
+        check()
+    except CertificateError:
+        print("CertificateError")
+"""
+
+
+def test_certificate_rechecks_survive_python_O():
+    # with every inversion failing, the re-verification must still fire
+    # when python -O strips assert statements
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_RECHECK],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out.split() == ["CertificateError", "CertificateError"]
