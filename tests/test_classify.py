@@ -1,6 +1,7 @@
 """Tests for canonical forms, invertible-block classes, and classification."""
 
 import hashlib
+import random
 from functools import reduce
 from itertools import combinations, combinations_with_replacement, permutations
 from operator import xor
@@ -15,6 +16,7 @@ from tcis.classify import (
     CANONICAL_N_CAP,
     ClassTableRow,
     _basis_sets,
+    _blocks_code,
     _classify_by_blocks,
     canonical_form,
     class_table_text,
@@ -281,6 +283,44 @@ def test_classify_digest(k, t):
 def test_classify_digest_length_12():
     assert class_digest(4, 3) == (
         "1fe0202c78a8a522f9908b03cb4229bc888b29cb8df8bf945b2368f5f993ed7d"
+    )
+
+
+def pin_code(rng):
+    """A random [n, k] code, n <= 15 and k <= 6, with zero and repeated
+    columns common."""
+    k = rng.randint(1, 6)
+    n = rng.randint(k, 15)
+    while True:
+        cols = []
+        for _ in range(n):
+            roll = rng.random()
+            if roll < 0.15:
+                cols.append(0)
+            elif roll < 0.4 and cols:
+                cols.append(rng.choice(cols))
+            else:
+                cols.append(rng.randrange(1 << k))
+        rows = [sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(k)]
+        if rank(BitMatrix(rows, n)) == k:
+            return LinearCode(BitMatrix(rows, n))
+
+
+def form_digest(codes):
+    text = repr([(cf.form, cf.perm) for cf in map(canonical_form, codes)])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_canonical_form_pinned():
+    # SHA-256 of (form, perm) over 300 seeded random codes and over the 58
+    # k = 3 Cat representatives, recorded with the popcount-signature search
+    rng = random.Random(20261018)
+    assert form_digest([pin_code(rng) for _ in range(300)]) == (
+        "bde827e39aca3631adc101091900cfff97105fba17530ebbd167edca340fc678"
+    )
+    _, reps = enumerate_cat(3)
+    assert form_digest([_blocks_code(3, blocks) for blocks in reps]) == (
+        "44d2e29e9d02b4a735404018a13c99c92cd0949c3c5e0be71bdda273b594f048"
     )
 
 
