@@ -8,18 +8,25 @@ touching all n! column orders; the result is the sorted codeword tuple
 in canonical column order, which two codes share exactly when one is a
 column permutation of the other.
 
-Once every refinement block holds a single codeword (a discrete
-partition), each remaining column's signature is its own 0/1 pattern
-and the least one always comes next, so the rest of the order is forced:
-the search finishes that branch with one sort of the remaining columns
-by (signature, column index), still recording the signature of every
-level so pruning and the first-leaf witness are those of the full
-search.  Only column orders are tracked; the form is packed once, from
-the winning order.
+Signatures are read from the span of the chosen columns, not counted.
+After a prefix of rank r the refinement blocks are the cosets of the
+subcode that is zero on it, 2^(k-r) words each, in counting order of the
+r independent chosen columns, the first most significant.  A free column
+in their span is constant on every block, so its signature is a table
+entry picked by its expression in them, with a 0 on block 0; a column
+outside the span halves every block, so all of those share one larger
+signature.  Each node therefore takes every span column at once, least
+signature first and equal columns by index, then branches on the
+distinct columns outside the span, extending the span table with the one
+chosen.  The signature of every level is still recorded, so pruning and
+the first-leaf witness are those of the column-by-column search.  Only
+column orders are tracked; the form is packed once, from the winning
+order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import (chain, combinations, combinations_with_replacement, islice,
                        permutations)
 from math import comb
@@ -59,6 +66,22 @@ class CanonicalCode:
     perm: tuple[int, ...]
 
 
+@cache
+def _span_signatures(k: int) -> tuple:
+    """sigs[r][e]: block signature of the column whose expression in r chosen
+    independent columns is mask e, first chosen column in bit 0."""
+    return tuple(
+        tuple(
+            tuple(
+                (1 << k - r) * ((int(f"{j:0{r}b}"[::-1], 2) & e).bit_count() & 1)
+                for j in range(1 << r)
+            )
+            for e in range(1 << r)
+        )
+        for r in range(k + 1)
+    )
+
+
 def canonical_form(c: LinearCode) -> CanonicalCode:
     n, k = c.n, c.k
     if n > CANONICAL_N_CAP or (1 << k) > CANONICAL_WORDS_CAP:
@@ -66,13 +89,8 @@ def canonical_form(c: LinearCode) -> CanonicalCode:
             f"[{n},{k}] outside canonicalization caps "
             f"(n <= {CANONICAL_N_CAP}, 2^k <= {CANONICAL_WORDS_CAP})"
         )
-    words = c.codewords()
-    nw = len(words)
-    # column c as a mask over codeword indices
-    colmask = [
-        sum(((words[w] >> col) & 1) << w for w in range(nw)) for col in range(n)
-    ]
-    full = (1 << nw) - 1
+    gcol = c.gen.columns()
+    sigs = _span_signatures(k)
     best_sig: list = [None] * (n + 1)
     best_perm: list = [None]  # first leaf under the current best_sig
 
@@ -88,48 +106,34 @@ def canonical_form(c: LinearCode) -> CanonicalCode:
             best_perm[0] = None
         return True
 
-    def finish(blocks, free: list[int], chosen: tuple[int, ...]):
-        # Every block is one codeword, so each remaining column has its own
-        # 0/1 signature and the least one always comes next: the order is
-        # the remaining columns sorted by signature, equal columns by index.
-        owners = [b.bit_length() - 1 for b in blocks]
-        order = sorted(
-            (tuple([(colmask[col] >> w) & 1 for w in owners]), col) for col in free
-        )
-        for level, (sig, _) in enumerate(order, len(chosen) + 1):
-            if not improve(level, sig):
+    def rec(span: dict, free: list[int], chosen: tuple[int, ...]):
+        # span maps each vector spanned by the chosen columns to its
+        # expression mask.  Masks compare like their signatures, which first
+        # differ on the block where only their top differing column is 1.
+        r = len(span).bit_length() - 1
+        # span columns have a 0 on block 0, so all of them come first
+        dep = sorted((span[gcol[col]], col) for col in free if gcol[col] in span)
+        for level, (e, _) in enumerate(dep, len(chosen) + 1):
+            if not improve(level, sigs[r][e]):
                 return
-        if best_perm[0] is None:
-            best_perm[0] = chosen + tuple(col for _, col in order)
-
-    def rec(blocks, free: list[int], chosen: tuple[int, ...]):
-        if len(blocks) == nw:
-            # all 2^k words distinct, so this happens by level n at the latest
-            finish(blocks, free, chosen)
+        chosen += tuple(col for _, col in dep)
+        free = [col for col in free if gcol[col] not in span]
+        if not free:
+            if best_perm[0] is None:
+                best_perm[0] = chosen
             return
-        fresh: dict[int, int] = {}
-        for col in free:
-            fresh.setdefault(colmask[col], col)
-        # Only the least signature can extend a least level sequence.
-        sig = None
-        group: list[int] = []
-        for cm, col in fresh.items():
-            s = tuple([(b & cm).bit_count() for b in blocks])
-            if sig is None or s < sig:
-                sig, group = s, [col]
-            elif s == sig:
-                group.append(col)
-        if not improve(len(chosen) + 1, sig):
+        if not improve(len(chosen) + 1, (1 << k - r - 1,) * (1 << r)):
             return
-        for col in group:
-            cm = colmask[col]
-            nb = [part for b in blocks for part in (b & ~cm, b & cm) if part]
-            rec(nb, [f for f in free if f != col], chosen + (col,))
+        # one branch per distinct column: the first of its copies, ascending
+        for col in sorted({gcol[col]: col for col in reversed(free)}.values()):
+            g, h = gcol[col], len(span)
+            nxt = span | {v ^ g: e + h for v, e in span.items()}
+            rec(nxt, [f for f in free if f != col], chosen + (col,))
 
-    rec([full], list(range(n)), ())
+    rec({0: 0}, list(range(n)), ())
     perm = best_perm[0]
     # canonical column 0 is the most significant bit of each packed word
-    form = map(c.gen.take_columns(perm[::-1]).vec_mul, range(nw))
+    form = map(c.gen.take_columns(perm[::-1]).vec_mul, range(1 << k))
     return CanonicalCode(n, k, tuple(sorted(form)), perm)
 
 
@@ -147,11 +151,17 @@ def _basis_sets(k: int) -> list[tuple[int, ...]]:
     return [c for c in combinations(range(1, 1 << k), k) if Echelon(c).rank == k]
 
 
-def _bit_perm_tables(k: int) -> np.ndarray:
-    # tabs[p, v]: vector v with its coordinates moved by the p-th permutation
+@cache
+def _cat_images(k: int) -> tuple:
+    """The unordered bases of F_2^k and images[p, b], basis b with its
+    coordinates moved by the p-th permutation; one read-only copy per k."""
+    bases = tuple(_basis_sets(k))
     perms = np.array(list(permutations(range(k))))
     bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    return (bits[None] << perms[:, None, :]).sum(axis=2).astype(np.uint8)
+    tabs = (bits[None] << perms[:, None, :]).sum(axis=2).astype(np.uint8)
+    images = tabs[:, np.array(bases)]
+    images.flags.writeable = False
+    return bases, images
 
 
 def _lex_min(keys: np.ndarray) -> np.ndarray:
@@ -191,9 +201,7 @@ def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
             if k == 4
             else f"k={k} exceeds the Cat enumeration guard"
         )
-    bases = _basis_sets(k)
-    # images[p, b]: basis b under the p-th coordinate permutation
-    images = _bit_perm_tables(k)[:, np.array(bases)]
+    bases, images = _cat_images(k)
     nperm, nb, _ = images.shape
     width = k * (t - 1)
     # keys are zero-padded to whole big-endian words, so comparing word

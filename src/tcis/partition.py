@@ -201,18 +201,17 @@ def exhaustive_partition_oracle(c: LinearCode, t: int) -> Partition | None:
 
         def grow(start: int):
             if len(chosen) == k:
-                if matroid.independent(chosen):
-                    yield list(chosen)
+                yield list(chosen)
                 return
             for pos in range(start, len(avail)):
                 chosen.append(avail[pos])
-                # prune only on the full test at the leaf; partial rank
-                # checks cost more than they save at these sizes
+                # grow only independent sets, so every full one is a basis
                 if matroid.rank_of(chosen) == len(chosen):
                     yield from grow(pos + 1)
                 chosen.pop()
 
-        yield from grow(1)
+        if matroid.independent(chosen):  # a zero first column starts none
+            yield from grow(1)
 
     solution: list[tuple[int, ...]] = []
 

@@ -7,7 +7,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from operator import xor
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tcis.partition
@@ -17,6 +17,7 @@ from tcis.classify import (
     ClassTableRow,
     _basis_sets,
     _blocks_code,
+    _cat_images,
     _classify_by_blocks,
     canonical_form,
     class_table_text,
@@ -65,15 +66,81 @@ def repack(c, perm):
     )
 
 
+def from_columns(k, cols):
+    """The k-row matrix whose column j is the k-bit vector cols[j]."""
+    rows = [sum(((col >> i) & 1) << j for j, col in enumerate(cols)) for i in range(k)]
+    return BitMatrix(rows, len(cols))
+
+
 @st.composite
 def codes_up_to_8(draw):
     n = draw(st.integers(1, 8))
     k = draw(st.integers(1, min(n, 3)))
     # columns drawn as k-bit vectors, so zero and repeated columns are common
     cols = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=n, max_size=n))
-    rows = [sum(((col >> i) & 1) << j for j, col in enumerate(cols)) for i in range(k)]
-    assume(rank(BitMatrix(rows, n)) == k)
-    return LinearCode(BitMatrix(rows, n))
+    assume(rank(from_columns(k, cols)) == k)
+    return LinearCode(from_columns(k, cols))
+
+
+@st.composite
+def codes_up_to_15(draw):
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(k, 15))
+    # a spanning pool of distinct columns, zero allowed, topped up with
+    # copies from the pool, so zero and repeated columns are common
+    pool = draw(
+        st.lists(st.integers(0, (1 << k) - 1), min_size=k, max_size=n, unique=True)
+    )
+    assume(rank(from_columns(k, pool)) == k)
+    extra = draw(st.lists(st.sampled_from(pool), min_size=n - len(pool), max_size=n - len(pool)))
+    return LinearCode(from_columns(k, draw(st.permutations(pool + extra))))
+
+
+def reference_canonical(c):
+    """canonical_form by popcount signatures: (form, perm).
+
+    The straightforward form of the search: every node counts, for each
+    distinct free column, its codewords in every refinement block, and
+    takes one column per level.
+    """
+    n = c.n
+    words = c.codewords()
+    nw = len(words)
+    colmask = [sum(((words[w] >> col) & 1) << w for w in range(nw)) for col in range(n)]
+    best_sig = [None] * (n + 1)
+    best_perm = [None]
+
+    def improve(level, sig):
+        best = best_sig[level]
+        if best is not None and sig > best:
+            return False
+        if best is None or sig < best:
+            best_sig[level] = sig
+            for deeper in range(level + 1, n + 1):
+                best_sig[deeper] = None
+            best_perm[0] = None
+        return True
+
+    def rec(blocks, free, chosen):
+        if not free:
+            if best_perm[0] is None:
+                best_perm[0] = chosen
+            return
+        fresh = {}
+        for col in free:
+            fresh.setdefault(colmask[col], col)
+        sigs = {cm: tuple((b & cm).bit_count() for b in blocks) for cm in fresh}
+        least = min(sigs.values())
+        if not improve(len(chosen) + 1, least):
+            return
+        for cm, col in fresh.items():
+            if sigs[cm] == least:
+                nb = [part for b in blocks for part in (b & ~cm, b & cm) if part]
+                rec(nb, [f for f in free if f != col], chosen + (col,))
+
+    rec([(1 << nw) - 1], list(range(n)), ())
+    perm = best_perm[0]
+    return repack(c, perm), perm
 
 
 def reference_cat(k, t):
@@ -128,6 +195,13 @@ def test_canonical_form_matches_brute_property(c):
     assert cf.form == brute_form(c)
     assert sorted(cf.perm) == list(range(c.n))
     assert repack(c, cf.perm) == cf.form
+
+
+@settings(max_examples=150)
+@given(codes_up_to_15())
+def test_canonical_form_matches_reference(c):
+    cf = canonical_form(c)
+    assert (cf.form, cf.perm) == reference_canonical(c)
 
 
 def test_canonical_form_is_permutation_invariant(rng):
@@ -204,6 +278,13 @@ def test_cat_guards():
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be at least 1"):
             enumerate_cat(k)
+
+
+def test_cat_tables_cached_read_only():
+    bases, images = _cat_images(3)
+    assert _cat_images(3)[1] is images
+    assert not images.flags.writeable
+    assert list(bases) == _basis_sets(3)
 
 
 @pytest.mark.slow
@@ -301,9 +382,8 @@ def pin_code(rng):
                 cols.append(rng.choice(cols))
             else:
                 cols.append(rng.randrange(1 << k))
-        rows = [sum(((c >> i) & 1) << j for j, c in enumerate(cols)) for i in range(k)]
-        if rank(BitMatrix(rows, n)) == k:
-            return LinearCode(BitMatrix(rows, n))
+        if rank(from_columns(k, cols)) == k:
+            return LinearCode(from_columns(k, cols))
 
 
 def form_digest(codes):

@@ -94,6 +94,14 @@ def test_repetition_code_has_no_partition():
     assert (r.is_partition) == (exhaustive_partition_oracle(c2, 2) is not None)
 
 
+def test_oracle_zero_column_k1():
+    # at k = 1 a zero column is a block of its own that is not a basis,
+    # first in the column order or not
+    for rows in (["10"], ["01"], ["101"]):
+        c = LinearCode(BitMatrix.from_strings(rows))
+        assert exhaustive_partition_oracle(c, c.n) is None
+
+
 def test_t_equals_one():
     c = LinearCode(BitMatrix.from_strings(["110", "011", "111"]))
     p = t_cis_partition(c, 1)
