@@ -126,8 +126,8 @@ def canonical_form(c: LinearCode) -> CanonicalCode:
             return
         # one branch per distinct column: the first of its copies, ascending
         for col in sorted({gcol[col]: col for col in reversed(free)}.values()):
-            g, h = gcol[col], len(span)
-            nxt = span | {v ^ g: e + h for v, e in span.items()}
+            g = gcol[col]
+            nxt = span | {v ^ g: e | 1 << r for v, e in span.items()}
             rec(nxt, [f for f in free if f != col], chosen + (col,))
 
     rec({0: 0}, list(range(n)), ())

@@ -92,7 +92,8 @@ def codes_up_to_15(draw):
         st.lists(st.integers(0, (1 << k) - 1), min_size=k, max_size=n, unique=True)
     )
     assume(rank(from_columns(k, pool)) == k)
-    extra = draw(st.lists(st.sampled_from(pool), min_size=n - len(pool), max_size=n - len(pool)))
+    size = n - len(pool)
+    extra = draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
     return LinearCode(from_columns(k, draw(st.permutations(pool + extra))))
 
 
