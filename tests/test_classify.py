@@ -293,7 +293,10 @@ def test_cat_count_k4():
     assert enumerate_cat(4, allow_slow=True)[0] == 4822
 
 
-CAT_SIZES = [(k, t) for k in (1, 2, 3) for t in (2, 3, 4)] + [(4, 2)]
+CAT_SIZES = [(k, t) for k in (1, 2, 3) for t in (2, 3, 4)] + [
+    (4, 2),
+    pytest.param(5, 2, marks=pytest.mark.slow),
+]
 
 
 @pytest.mark.parametrize("k,t", CAT_SIZES)
@@ -336,7 +339,7 @@ def test_classify_length_12():
 
 
 def class_digest(k, t):
-    reps, row = classify_tcis(k, t)
+    reps, row = classify_tcis(k, t, allow_slow=True)
     text = repr(([c.gen.rows for c in reps], row.length, row.by_d))
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -366,6 +369,21 @@ def test_classify_digest_length_12():
     assert class_digest(4, 3) == (
         "1fe0202c78a8a522f9908b03cb4229bc888b29cb8df8bf945b2368f5f993ed7d"
     )
+
+
+# SHA-256 of the k = 5 reps and summary rows, recorded with the
+# per-basis canonical stage 1 of the two-stage growth (t = 3) and with
+# block growth deduplicated by canonical form after each block (t = 2)
+K5_DIGESTS = {
+    (5, 2): "66454a36851dcc9e7f40c6a3c3bcdf6fe7134c95bc910e4e42adfcdd48ad7702",
+    (5, 3): "4dd78fab45352a9c64da97866ccfbac66c36925da6321a07829d6308b588eca1",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k,t", sorted(K5_DIGESTS))
+def test_classify_digest_k5(k, t):
+    assert class_digest(k, t) == K5_DIGESTS[k, t]
 
 
 def pin_code(rng):
