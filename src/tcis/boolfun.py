@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import LinearCode, UnrestrictedCode, dual, dual_distance
-from .gf2 import BitMatrix, Infeasible, invert
+from .gf2 import BitMatrix, CertificateError, Infeasible, invert
 
 __all__ = [
     "BooleanPermutation",
@@ -157,7 +157,8 @@ def _min_outmask_weights(f: BooleanPermutation) -> np.ndarray:
     w = np.fromiter((b.bit_count() for b in range(n)), dtype=np.int64, count=n)
     nz = walsh_table(f).values != 0
     # every row has a nonzero entry (rows of a scaled Hadamard-like table)
-    assert nz.any(axis=1).all()
+    if not nz.any(axis=1).all():
+        raise CertificateError(f"k={f.k} Walsh table has an all-zero row")
     big = np.where(nz, w[None, :], n + 1)
     return big.min(axis=1)
 

@@ -178,36 +178,18 @@ def _lex_min(keys: np.ndarray) -> np.ndarray:
 _CAT_BATCH = 1024  # multisets keyed per numpy batch; bounds the scratch memory
 
 
-def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
-    """Invertible-block concatenations up to row and column permutation.
+def _cat_keys(k: int, t: int):
+    """Yield (key, combo) for every multiset of t-1 bases of F_2^k, in
+    combinations_with_replacement order of the basis indices.
 
-    A class is determined by the multiset of the k(t-1) columns up to
-    permuting the k coordinates, so classes are enumerated as multisets
-    of unordered bases and deduplicated under the coordinate action.
-    The key of a multiset is its least sorted column sequence over all
-    k! coordinate permutations.  Multisets are walked in
-    combinations_with_replacement order and keyed in numpy batches; the
-    first multiset seen with a key represents it.  Returns (count,
-    representatives) in key order; each representative is a tuple of
-    t-1 bases whose concatenation realizes the class.
+    The key is the least sorted column sequence over all k! coordinate
+    permutations, as a tuple of zero-padded big-endian words, so tuple
+    order is column-sequence order.  Multisets are keyed in numpy batches.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if t < 2:
-        raise ValueError("need t >= 2")
-    if k > 4 or (k == 4 and not allow_slow):
-        raise Infeasible(
-            f"k={k} Cat enumeration needs the long-running opt-in"
-            if k == 4
-            else f"k={k} exceeds the Cat enumeration guard"
-        )
-    bases, images = _cat_images(k)
+    _, images = _cat_images(k)
     nperm, nb, _ = images.shape
     width = k * (t - 1)
-    # keys are zero-padded to whole big-endian words, so comparing word
-    # tuples compares the column sequences lexicographically
     nbytes = -(-width // 8) * 8
-    first: dict[tuple[int, ...], list[int]] = {}
     walk = combinations_with_replacement(range(nb), t - 1)
     for _ in range(0, comb(nb + t - 2, t - 1), _CAT_BATCH):
         combos = np.fromiter(
@@ -217,8 +199,34 @@ def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
         seq[:, :, :width] = images[:, combos].reshape(nperm, len(combos), width)
         seq[:, :, :width].sort(axis=2)
         keys = _lex_min(seq.view(">u8").astype(np.uint64))
-        for key, combo in zip(map(tuple, keys.tolist()), combos.tolist()):
-            first.setdefault(key, combo)
+        yield from zip(map(tuple, keys.tolist()), combos.tolist())
+
+
+def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
+    """Invertible-block concatenations up to row and column permutation.
+
+    A class is determined by the multiset of the k(t-1) columns up to
+    permuting the k coordinates, so classes are enumerated as multisets
+    of unordered bases and deduplicated by their _cat_keys key; the first
+    multiset seen with a key represents it.  Returns (count,
+    representatives) in key order; each representative is a tuple of
+    t-1 bases whose concatenation realizes the class.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if t < 2:
+        raise ValueError("need t >= 2")
+    slow = k == 4 or (k, t) == (5, 2)
+    if (k > 4 and not slow) or (slow and not allow_slow):
+        raise Infeasible(
+            f"k={k} Cat enumeration needs the long-running opt-in"
+            if slow
+            else f"k={k} exceeds the Cat enumeration guard"
+        )
+    bases, _ = _cat_images(k)
+    first: dict[tuple[int, ...], list[int]] = {}
+    for key, combo in _cat_keys(k, t):
+        first.setdefault(key, combo)
     reps = [tuple(bases[bi] for bi in first[key]) for key in sorted(first)]
     return len(reps), reps
 
@@ -315,15 +323,17 @@ def _stage2_keys(wt, p_lo, p_hi):
 def _classify_fast_t3(k: int):
     """Two-stage growth with invariant-key deduplication (t = 3).
 
-    Same class semantics as _classify_by_blocks: append one invertible
-    block per stage and deduplicate, but stage 2 recognizes duplicates by a
-    permutation-invariant key instead of full canonicalization.  The key
-    combines the codeword-weight multiset with, for every column pair,
-    the number of codewords of each weight containing both columns;
-    everything is preserved by column permutation and basis change, so
-    members of one class always collide, and key collisions could only
-    merge inequivalent classes and lower the count, never inflate it.
-    Stage 1 classifies the (I | B) prefixes by exact canonical form.
+    Appends one invertible block per stage to the identity and
+    deduplicates.  Stage 1 classifies the (I | B) prefixes exactly: bases
+    in one Cat orbit give equivalent codes, so one canonical form per
+    orbit, taken on its first basis, classes every basis.  Stage 2
+    recognizes duplicates by a permutation-invariant key instead of full
+    canonicalization.  The key combines the codeword-weight multiset
+    with, for every column pair, the number of codewords of each weight
+    containing both columns; everything is preserved by column
+    permutation and basis change, so members of one class always
+    collide, and key collisions could only merge inequivalent classes
+    and lower the count, never inflate it.
     Block order is normalized by requiring the second block's stage-1
     class index to be at least the first's: a class whose least
     first-slot index over all its systematic forms is i has a form
@@ -333,21 +343,22 @@ def _classify_fast_t3(k: int):
     """
     kk = 1 << k
     n0, n = 2 * k, 3 * k
-    bases = _basis_sets(k)
+    bases, _ = _cat_images(k)
     enc, bwt, vbits, vpairs = _basis_tables(k, bases)
 
-    # stage 1: classes of (I | B), by canonical form
+    # stage 1: classes of (I | B), numbered by their first basis; the
+    # t = 2 walk visits the bases in index order
     stage1: dict[tuple, int] = {}
+    orbit_cls: dict[tuple, int] = {}
     reps1: list[int] = []
     cls_of = np.zeros(len(bases), dtype=np.int64)
-    for bi in range(len(bases)):
-        form = canonical_form(_blocks_code(k, (bases[bi],))).form
-        idx = stage1.get(form)
-        if idx is None:
-            idx = len(reps1)
-            stage1[form] = idx
-            reps1.append(bi)
-        cls_of[bi] = idx
+    for key, (bi,) in _cat_keys(k, 2):
+        if key not in orbit_cls:
+            form = canonical_form(_blocks_code(k, (bases[bi],))).form
+            orbit_cls[key] = stage1.setdefault(form, len(reps1))
+            if orbit_cls[key] == len(reps1):
+                reps1.append(bi)
+        cls_of[bi] = orbit_cls[key]
 
     pow64 = np.float64(64.0) ** np.arange(8)
     iu, ju = np.triu_indices(k)
@@ -388,30 +399,14 @@ def _classify_fast_t3(k: int):
     ]
 
 
-def _classify_by_blocks(k: int, t: int) -> list[LinearCode]:
-    """Class reps in form order, grown from the identity one invertible
-    block at a time and deduplicated by canonical form after each block."""
-    bases = _basis_sets(k)
-    ident = LinearCode(BitMatrix.identity(k))
-    stage = {canonical_form(ident).form: ident}
-    for _ in range(t - 1):
-        nxt: dict[tuple, LinearCode] = {}
-        for code in stage.values():
-            for basis in bases:
-                cand = LinearCode(code.gen.hstack(BitMatrix(basis, k).transpose()))
-                nxt.setdefault(canonical_form(cand).form, cand)
-        stage = nxt
-    return [stage[f] for f in sorted(stage)]
-
-
 def classify_tcis(k: int, t: int = 3, allow_slow: bool = False):
     """All inequivalent t-CIS codes of length tk, plus the summary row.
 
-    For k <= 4 one concatenation per Cat class is appended to the identity
-    and the results deduplicated by canonical form.  At k = 5, t = 3 runs
-    the two-stage growth of _classify_fast_t3 and t = 2 the block growth
-    of _classify_by_blocks, which returns the same class set as the Cat
-    path wherever both run.
+    One concatenation per Cat class is appended to the identity and the
+    results deduplicated by canonical form; the representative of a class
+    is its first Cat class in key order.  k = 5, t = 3, where Cat
+    enumeration is out of reach, runs the two-stage growth of
+    _classify_fast_t3 instead.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -424,9 +419,8 @@ def classify_tcis(k: int, t: int = 3, allow_slow: bool = False):
             else f"k={k} exceeds the classification guard"
         )
 
-    if k == 5:
-        # canonical forms of every Cat class are too slow at this size
-        reps = _classify_fast_t3(k) if t == 3 else _classify_by_blocks(k, t)
+    if (k, t) == (5, 3):
+        reps = _classify_fast_t3(k)
     else:
         _, cat_reps = enumerate_cat(k, t, allow_slow=True)
         forms: dict[tuple, LinearCode] = {}

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import tcis.boolfun
 from conftest import random_invertible, systematic_cis_code
 from tcis.boolfun import (
     BooleanPermutation,
@@ -19,7 +20,7 @@ from tcis.boolfun import (
     walsh_table,
 )
 from tcis.codes import LinearCode, distance_enumerator, dual, dual_distance, min_distance
-from tcis.gf2 import BitMatrix, Infeasible, parity_dot
+from tcis.gf2 import BitMatrix, CertificateError, Infeasible, parity_dot
 
 
 def random_perm(rng, k):
@@ -298,3 +299,14 @@ def test_protected_constancy_order(bk_24_8):
             [w.power(p0), w.power(p1), w.power(p2)], [ident, f1, f2]
         )
         assert not res.constant, (p0, p1, p2)
+
+
+def test_zero_walsh_row_raises(monkeypatch):
+    # a permutation's Walsh rows are never all zero; a table that has one
+    # must fail the re-check instead of yielding a strength
+    f = BooleanPermutation.identity(3)
+    table = walsh_table(f)
+    table.values[5] = 0
+    monkeypatch.setattr(tcis.boolfun, "walsh_table", lambda g: table)
+    with pytest.raises(CertificateError, match="all-zero row"):
+        cip_strength(f, f)

@@ -18,7 +18,6 @@ from tcis.classify import (
     _basis_sets,
     _blocks_code,
     _cat_images,
-    _classify_by_blocks,
     canonical_form,
     class_table_text,
     classify_tcis,
@@ -164,6 +163,22 @@ def reference_cat(k, t):
         seen.setdefault(key, tuple(bases[bi] for bi in combo))
     reps = [seen[key] for key in sorted(seen)]
     return len(reps), reps
+
+
+def classify_by_blocks(k, t):
+    """Class reps in form order, grown from the identity one invertible
+    block at a time and deduplicated by canonical form after each block."""
+    bases = _basis_sets(k)
+    ident = LinearCode(BitMatrix.identity(k))
+    stage = {canonical_form(ident).form: ident}
+    for _ in range(t - 1):
+        nxt = {}
+        for code in stage.values():
+            for basis in bases:
+                cand = LinearCode(code.gen.hstack(BitMatrix(basis, k).transpose()))
+                nxt.setdefault(canonical_form(cand).form, cand)
+        stage = nxt
+    return [stage[f] for f in sorted(stage)]
 
 
 def shuffled(rng, c):
@@ -442,12 +457,13 @@ def test_classify_certificate_failure_raises(monkeypatch):
 
 
 def test_methods_agree_small():
-    # block growth, the k = 5, t = 2 path, against the Cat path
-    for k in (1, 2, 3):
-        reps, _ = classify_tcis(k)
-        assert [canonical_form(c).form for c in _classify_by_blocks(k, 3)] == [
-            canonical_form(c).form for c in reps
-        ]
+    # block growth by canonical forms against the Cat path: same classes,
+    # same representatives
+    for k, t in [(k, t) for k in (1, 2, 3) for t in (2, 3)] + [(4, 2)]:
+        reps, _ = classify_tcis(k, t)
+        assert [c.gen.rows for c in classify_by_blocks(k, t)] == [
+            c.gen.rows for c in reps
+        ], (k, t)
 
 
 def test_classify_reps_are_valid(rng):
