@@ -287,8 +287,13 @@ def test_cat_reps_are_independent_blocks():
 def test_cat_guards():
     with pytest.raises(Infeasible):
         enumerate_cat(4)
-    with pytest.raises(Infeasible):
+    with pytest.raises(Infeasible, match="k=5 exceeds"):
         enumerate_cat(5, allow_slow=True)
+    # (5, 2) runs only behind the opt-in, like k = 4
+    with pytest.raises(Infeasible, match="k=5 Cat enumeration needs"):
+        enumerate_cat(5, 2)
+    with pytest.raises(Infeasible, match="k=6 exceeds"):
+        enumerate_cat(6, 2, allow_slow=True)
     with pytest.raises(ValueError):
         enumerate_cat(2, t=1)
     for k in (0, -1):
@@ -502,6 +507,8 @@ def test_classify_guards():
         classify_tcis(2, t=4)
     with pytest.raises(Infeasible):
         classify_tcis(5)
+    with pytest.raises(Infeasible):
+        classify_tcis(5, 2)
     with pytest.raises(Infeasible):
         classify_tcis(6, allow_slow=True)
     for k in (0, -1):
