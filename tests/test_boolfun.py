@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -310,3 +311,62 @@ def test_zero_walsh_row_raises(monkeypatch):
     monkeypatch.setattr(tcis.boolfun, "walsh_table", lambda g: table)
     with pytest.raises(CertificateError, match="all-zero row"):
         cip_strength(f, f)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+# SHA-256 digests recorded from the per-mask int64 butterfly, the separate
+# pair-strength body and the list-based exact transform; the tables,
+# strengths and convolutions they pin must not move under any rework.
+WALSH_DIGESTS = {
+    1: "5fc85b22b2d85ea4d5adc1485785ac88b4a47e822707f5364135fc00669c590e",
+    2: "ebb5b44864a8e8563071ef697cf3b31b8be4175653e09d0d90196074e72b5c71",
+    3: "6eaae3c052520858ce3ad1bd9efe100958b78bc22198f69835315ef40c4f955c",
+    4: "0a2bcf51c1f66bf07a627253b45093f6d53074ee54a45f1cb83b595c4efe6995",
+    5: "5eb619f5f4b4a300ec055f285a62b3e462485a50a85b5522f200b85fc98ecd75",
+    6: "b31419278bf719cdb70832c158abad47527c257222fbb3ccb7ea1ea3ab45fbd6",
+    7: "511175150891e6c08c4b19866d1944ff66109a10f7dc7b6f76661001df955f96",
+    8: "aa757a8bfade829c9aa5afb5b9101e180a8320fccf499e6507b025b2810ba402",
+    9: "bfdd688a7720c942fde168fbe5c16d68ece8f2d85ae20700068e1e3016cec471",
+    10: "a4642f64644e66c575e656a2d3fb13342a97552e61fbf318a49ce9b5779fd45a",
+}
+STRENGTH_DIGEST = "fbe9e2c88cd71e10f3a42635e9567e26e1c23b14f7aade91e8d8fa1248afa089"
+CONVOLUTION_DIGEST = "6af0fef3e5558f9c9b0b6b8712f648d71e724df1d708b65c1a33d009ed354033"
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_walsh_digest(k):
+    f = random_perm(random.Random(0x3A1 + k), k)
+    assert _digest(walsh_table(f).values.tolist()) == WALSH_DIGESTS[k]
+
+
+def test_strength_digest():
+    rng = random.Random(0x57)
+    out = []
+    for k in range(1, 11):
+        f1, f2 = random_perm(rng, k), random_perm(rng, k)
+        g1, g2 = derive_bijections(systematic_cis_code(rng, k, 3), 3)
+        out.append((k, cip_strength(f1, f2), cip_strength(g1, g2)))
+    for t in range(1, 5):
+        for k in range(1, 9):
+            fs = [random_perm(rng, k) for _ in range(t)]
+            gs = derive_bijections(systematic_cis_code(rng, k, t + 1), t + 1)
+            out.append((t, k, t_ci_strength(fs), t_ci_strength(gs)))
+    assert _digest(out) == STRENGTH_DIGEST
+
+
+def test_convolution_digest():
+    rng = random.Random(0xC0)
+    out = []
+    for k in range(1, 9):
+        n = 1 << k
+        f, g = (
+            LeakageFunction(
+                k, [Fraction(rng.randrange(-9, 10), rng.randrange(1, 7)) for _ in range(n)]
+            )
+            for _ in range(2)
+        )
+        out.append(group_convolution(f, g).values)
+    assert _digest(out) == CONVOLUTION_DIGEST
