@@ -1,8 +1,9 @@
 """Vectorial Boolean permutations, Walsh spectra, and masking analysis.
 
 A permutation of F_2^k is a lookup table; linear permutations carry their
-matrix alongside.  Walsh values W(a, b) = sum_x (-1)^(a.x + b.F(x)) are
-exact int64 tables computed by a fast transform per output mask b.
+matrix alongside.  The Walsh table W(a, b) = sum_x (-1)^(a.x + b.F(x)) is
+H.G_F.H, where G_F is the 0/1 graph matrix of F (G_F[x, F(x)] = 1) and H
+the Sylvester-Hadamard matrix: two fast transforms, exact in int16.
 
 The correlation-immunity strength of a function tuple is read off the
 spectra: a triple (a, b, c) with all Walsh values nonzero defeats masking
@@ -37,14 +38,12 @@ __all__ = [
     "leakage_constancy_check",
     "WALSH_K_CAP",
     "CIP_K_CAP",
-    "TUPLE_K_CAP",
     "TUPLE_T_CAP",
     "MASKING_BITS_CAP",
 ]
 
 WALSH_K_CAP = 12
 CIP_K_CAP = 10
-TUPLE_K_CAP = 8
 TUPLE_T_CAP = 4
 MASKING_BITS_CAP = 20
 
@@ -121,74 +120,64 @@ class WalshTable:
         return int(self.values[a, b])
 
 
-def _parity_rows(k: int) -> np.ndarray:
-    # P[v, b] = parity(v & b), built by one XOR per v from its low-bit parent.
-    n = 1 << k
-    p = np.zeros((n, n), dtype=np.int8)
-    bit = [((np.arange(n) >> i) & 1).astype(np.int8) for i in range(k)]
-    for v in range(1, n):
-        p[v] = p[v & (v - 1)] ^ bit[(v & -v).bit_length() - 1]
-    return p
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform along axis 0, in place.
+
+    ``a`` must be C-contiguous with a power-of-two first axis; each stage
+    views it as (blocks, 2, h, rest) and combines the two halves at once.
+    """
+    n = a.shape[0]
+    h = 1
+    while h < n:
+        v = a.reshape(n // (2 * h), 2, h, -1)
+        diff = v[:, 0] - v[:, 1]
+        v[:, 0] += v[:, 1]
+        v[:, 1] = diff
+        h *= 2
+    return a
 
 
 def walsh_table(f: BooleanPermutation) -> WalshTable:
-    """Exact Walsh spectrum, fast-transformed over the input index."""
+    """Exact Walsh spectrum W = H.G_F.H, values[a, b]."""
     if f.k > WALSH_K_CAP:
         raise Infeasible(f"k={f.k} exceeds Walsh cap {WALSH_K_CAP}")
     n = 1 << f.k
-    par = _parity_rows(f.k)
-    # sign[x, b] = (-1)^(b.F(x)); transform over x turns row a into W(a, b).
-    signs = 1 - 2 * par[np.fromiter(f.table, dtype=np.int64, count=n)].astype(np.int64)
-    h = 1
-    while h < n:
-        for start in range(0, n, 2 * h):
-            top = signs[start : start + h, :]
-            bot = signs[start + h : start + 2 * h, :]
-            s, d = top + bot, top - bot
-            signs[start : start + h, :] = s
-            signs[start + h : start + 2 * h, :] = d
-        h *= 2
-    return WalshTable(f.k, signs)
+    # int16 is exact: every entry, partial sums included, is a signed sum
+    # of at most 2^k ones, and 2^k <= 2^WALSH_K_CAP = 4096 < 2^15.
+    g = np.zeros((n, n), dtype=np.int16)  # G_F^T: column x has its 1 in row F(x)
+    g[np.fromiter(f.table, dtype=np.int64, count=n), np.arange(n)] = 1
+    gh = np.ascontiguousarray(_fwht(g).T)  # (H.G_F^T)^T = G_F.H
+    return WalshTable(f.k, _fwht(gh))
+
+
+def _weights(k: int) -> np.ndarray:
+    n = 1 << k
+    return np.fromiter((v.bit_count() for v in range(n)), dtype=np.int64, count=n)
 
 
 def _min_outmask_weights(f: BooleanPermutation) -> np.ndarray:
     # per input mask a: the least weight of b with W(a, b) != 0
-    n = 1 << f.k
-    w = np.fromiter((b.bit_count() for b in range(n)), dtype=np.int64, count=n)
     nz = walsh_table(f).values != 0
     # every row has a nonzero entry (rows of a scaled Hadamard-like table)
     if not nz.any(axis=1).all():
         raise CertificateError(f"k={f.k} Walsh table has an all-zero row")
-    big = np.where(nz, w[None, :], n + 1)
+    big = np.where(nz, _weights(f.k)[None, :], (1 << f.k) + 1)
     return big.min(axis=1)
 
 
 def cip_strength(f1: BooleanPermutation, f2: BooleanPermutation) -> int:
-    """Largest d with no doubly-nonzero Walsh triple of weight sum <= d.
-
-    A triple (a, b, c), a != 0, with W1(a, b) and W2(a, c) both nonzero
-    breaks the pair at order w(a)+w(b)+w(c); the strength is the smallest
-    such order minus one.  Balancedness guarantees a violating triple
-    exists, so the value is always exact.
-    """
-    if f1.k != f2.k:
-        raise ValueError("permutations act on different sizes")
-    if f1.k > CIP_K_CAP:
-        raise Infeasible(f"k={f1.k} exceeds pair-strength cap {CIP_K_CAP}")
-    n = 1 << f1.k
-    w = np.fromiter((a.bit_count() for a in range(n)), dtype=np.int64, count=n)
-    m1 = _min_outmask_weights(f1)
-    m2 = _min_outmask_weights(f2)
-    sums = w[1:] + m1[1:] + m2[1:]
-    return int(sums.min()) - 1
+    """Strength of the pair (f1, f2): ``t_ci_strength`` at t = 2."""
+    return t_ci_strength((f1, f2))
 
 
 def t_ci_strength(fs) -> int:
-    """Strength of a function tuple; the t = 2 case matches cip_strength.
+    """Largest d with no all-nonzero Walsh tuple of weight sum <= d.
 
-    Uses per-function minimal output-mask weights: the cheapest violation
-    over a fixed a != 0 picks each b_i of least weight with W_i(a, b_i)
-    nonzero.
+    A tuple (a, b_1, .., b_t), a != 0, with every W_i(a, b_i) nonzero
+    breaks the functions at order w(a)+w(b_1)+..+w(b_t); the strength is
+    the smallest such order minus one.  For a fixed a the cheapest b_i is
+    the least-weight output mask with W_i(a, b_i) nonzero, and every Walsh
+    row has one, so the value is always exact.
     """
     fs = list(fs)
     if not fs:
@@ -196,15 +185,13 @@ def t_ci_strength(fs) -> int:
     k = fs[0].k
     if any(f.k != k for f in fs):
         raise ValueError("permutations act on different sizes")
-    if k > TUPLE_K_CAP or len(fs) > TUPLE_T_CAP:
+    if k > CIP_K_CAP or len(fs) > TUPLE_T_CAP:
         raise Infeasible(
-            f"k={k}, t={len(fs)} exceeds tuple caps ({TUPLE_K_CAP}, {TUPLE_T_CAP})"
+            f"k={k}, t={len(fs)} exceeds tuple caps ({CIP_K_CAP}, {TUPLE_T_CAP})"
         )
-    n = 1 << k
-    w = np.fromiter((a.bit_count() for a in range(n)), dtype=np.int64, count=n)
-    total = w[1:].copy()
+    total = _weights(k)[1:]
     for f in fs:
-        total += _min_outmask_weights(f)[1:]
+        total = total + _min_outmask_weights(f)[1:]
     return int(total.min()) - 1
 
 
@@ -243,36 +230,31 @@ def verify_theorem1(f1: BooleanPermutation, f2: BooleanPermutation) -> dict:
     return {"dual_distance": dd, "cip_strength": s, "consistent": dd == s + 1}
 
 
-def derive_bijections(c: LinearCode, t: int, partition_sets=None) -> list[BooleanPermutation]:
+def derive_bijections(c: LinearCode, t: int) -> list[BooleanPermutation]:
     """Extract the t-1 linear masking bijections of a t-CIS code.
 
-    Rewrites the generator as (I_k | L_1 | .. | L_{t-1}) along the given
-    information sets (found automatically when omitted) and returns the
-    permutations with matrices (L_i^T)^-1.  A singular block means the
-    sets were not information sets and raises ValueError.
+    Rewrites the generator as (I_k | L_1 | .. | L_{t-1}) along the
+    information sets of the partition walk and returns the permutations
+    with matrices (L_i^T)^-1.  A singular block fails the re-check of the
+    walk's sets and raises CertificateError.
     """
     if c.n != t * c.k:
         raise ValueError(f"length {c.n} is not t*k = {t}*{c.k}")
-    if partition_sets is None:
-        from .partition import t_cis_partition
+    from .partition import t_cis_partition
 
-        outcome = t_cis_partition(c, t)
-        if not outcome.is_partition:
-            raise ValueError("code is not t-CIS; no bijections to derive")
-        partition_sets = outcome.sets
-    sets = [tuple(sorted(s)) for s in partition_sets]
-    if len(sets) != t or any(len(s) != c.k for s in sets):
-        raise ValueError("partition shape disagrees with (t, k)")
-    a1 = c.gen.take_columns(sets[0])
-    u = invert(a1)
+    outcome = t_cis_partition(c, t)
+    if not outcome.is_partition:
+        raise ValueError("code is not t-CIS; no bijections to derive")
+    first, *rest = outcome.sets
+    u = invert(c.gen.take_columns(first))
     if u is None:
-        raise ValueError("inconsistent partition: first set is not an information set")
+        raise CertificateError("first set of the walk is not an information set")
     out = []
-    for s in sets[1:]:
+    for s in rest:
         li = u.mul(c.gen.take_columns(s))
         m = invert(li.transpose())
         if m is None:
-            raise ValueError("inconsistent partition: block is singular")
+            raise CertificateError("a block of the walk's partition is singular")
         out.append(BooleanPermutation.from_matrix(m))
     return out
 
@@ -323,30 +305,14 @@ def point_mass_leakage(k: int, at: int = 0) -> LeakageFunction:
     return LeakageFunction(k, (1 if x == at else 0 for x in range(1 << k)))
 
 
-def _fwht_exact(values: list[Fraction]) -> list[Fraction]:
-    out = list(values)
-    n = len(out)
-    h = 1
-    while h < n:
-        for start in range(0, n, 2 * h):
-            for i in range(start, start + h):
-                a, b = out[i], out[i + h]
-                out[i], out[i + h] = a + b, a - b
-        h *= 2
-    return out
-
-
 def group_convolution(f: LeakageFunction, g: LeakageFunction) -> LeakageFunction:
     """(f*g)(z) = sum_x f(x) g(z^x), exactly, via the transform domain."""
     if f.k != g.k:
         raise ValueError("sizes disagree")
     if f.k > WALSH_K_CAP:
         raise Infeasible(f"k={f.k} exceeds convolution cap {WALSH_K_CAP}")
-    n = 1 << f.k
-    fh = _fwht_exact(list(f.values))
-    gh = _fwht_exact(list(g.values))
-    prod = _fwht_exact([a * b for a, b in zip(fh, gh)])
-    return LeakageFunction(f.k, (v / n for v in prod))
+    fh, gh = (_fwht(np.array(h.values, dtype=object)) for h in (f, g))
+    return LeakageFunction(f.k, _fwht(fh * gh) / (1 << f.k))
 
 
 @dataclass(frozen=True)

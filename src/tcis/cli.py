@@ -147,8 +147,6 @@ def cmd_derive(args) -> int:
 def cmd_cip(args) -> int:
     f1 = _load_perm(args.perm1)
     f2 = _load_perm(args.perm2)
-    if f1.k > args.cap:
-        raise Infeasible(f"k={f1.k} exceeds --cap {args.cap}")
     s = cip_strength(f1, f2)
     if args.json:
         _emit_json({"k": f1.k, "strength": s})
@@ -289,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cip", help="correlation-immunity strength of a pair")
     p.add_argument("perm1")
     p.add_argument("perm2")
-    p.add_argument("--cap", type=int, default=10,
-                   help="largest accepted input size k (default 10)")
     _add_common(p)
     p.set_defaults(func=cmd_cip)
 

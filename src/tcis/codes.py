@@ -226,45 +226,39 @@ def weight_distribution(c: LinearCode, cap: int = MIN_DISTANCE_CAP) -> list[int]
     return counts
 
 
-def _as_unrestricted(c) -> UnrestrictedCode:
-    if isinstance(c, UnrestrictedCode):
-        return c
-    if isinstance(c, LinearCode):
-        return UnrestrictedCode.from_linear(c)
-    if isinstance(c, ZeroCode):
-        return UnrestrictedCode(c.n, [0], distance_invariant=True)
-    raise TypeError(f"not a code: {c!r}")
-
-
 def distance_enumerator(c, distance_invariant: bool | None = None) -> DistanceEnumerator:
     """Exact ordered-pair distance counts.
 
     With the distance-invariant hint the counts are |C| times the weight
     distribution of the code translated through any fixed word, which takes
     one weight pass; without it all pairs are compared.  The hint defaults
-    to the code's own flag (always true for linear codes).
+    to the code's own flag (always true for linear codes).  The size cap is
+    checked before any codeword is listed.
     """
-    uc = _as_unrestricted(c)
+    if isinstance(c, UnrestrictedCode):
+        m, invariant = c.size, c.distance_invariant
+    elif isinstance(c, (LinearCode, ZeroCode)):
+        m, invariant = 1 << c.k, True
+    else:
+        raise TypeError(f"not a code: {c!r}")
     if distance_invariant is None:
-        distance_invariant = uc.distance_invariant
-    m = uc.size
-    counts = [0] * (uc.n + 1)
+        distance_invariant = invariant
+    cap = TRANSLATE_SIZE_CAP if distance_invariant else PAIRWISE_SIZE_CAP
+    if m > cap:
+        raise Infeasible(f"code size {m} exceeds cap {cap}")
+    words = c.words if isinstance(c, UnrestrictedCode) else c.codewords()
+    counts = [0] * (c.n + 1)
     if distance_invariant:
-        if m > TRANSLATE_SIZE_CAP:
-            raise Infeasible(f"code size {m} exceeds cap {TRANSLATE_SIZE_CAP}")
-        c0 = uc.words[0]
-        for w in uc.words:
+        c0 = words[0]
+        for w in words:
             counts[(w ^ c0).bit_count()] += m
     else:
-        if m > PAIRWISE_SIZE_CAP:
-            raise Infeasible(f"code size {m} exceeds cap {PAIRWISE_SIZE_CAP}")
-        words = uc.words
         counts[0] = m
         for i in range(m):
             wi = words[i]
             for j in range(i + 1, m):
                 counts[(wi ^ words[j]).bit_count()] += 2
-    return DistanceEnumerator(uc.n, m, tuple(counts))
+    return DistanceEnumerator(c.n, m, tuple(counts))
 
 
 def dual_distance(c, distance_invariant: bool | None = None) -> int | float:

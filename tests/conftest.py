@@ -1,3 +1,4 @@
+import functools
 import random
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from tcis import formats
+from tcis.classify import classify_tcis
 from tcis.codes import LinearCode
 from tcis.gf2 import BitMatrix, rank
 
@@ -43,6 +45,18 @@ def z4_24_6():
 @pytest.fixture(scope="session")
 def qc_243_9():
     return formats.load(DATA / "qc_243_9.qc")
+
+
+@functools.cache
+def _classify(k: int, t: int):
+    return classify_tcis(k, t, allow_slow=True)
+
+
+@pytest.fixture(scope="session")
+def classification():
+    """classify_tcis(k, t, allow_slow=True), run at most once a session per
+    (k, t): the length-12 and length-15 censuses take seconds to minutes."""
+    return _classify
 
 
 def random_full_rank(rng: random.Random, n: int, k: int) -> BitMatrix:

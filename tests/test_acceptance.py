@@ -53,8 +53,8 @@ def verdict(num: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def length_12_classification():
-    return classify_tcis(4)
+def length_12_classification(classification):
+    return classification(4, 3)
 
 
 def test_criterion_01_masking_pipeline_end_to_end(bk_24_8):
@@ -97,12 +97,10 @@ def test_criterion_02_classification_table(length_12_classification):
 
 
 @pytest.mark.slow
-def test_criterion_02_length_15_table():
-    t0 = time.time()
-    reps, row = classify_tcis(5, allow_slow=True)
-    elapsed = time.time() - t0
+def test_criterion_02_length_15_table(classification):
+    reps, row = classification(5, 3)
     ok = len(reps) == 29372 and row.by_d == LENGTH_15_ROW
-    verdict(2, ok, f"length 15 total {len(reps)} in {elapsed:.0f}s (opt-in)")
+    verdict(2, ok, f"length 15 total {len(reps)} (opt-in)")
 
 
 def test_criterion_03_cat_counts():

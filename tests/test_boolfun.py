@@ -2,7 +2,10 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tcis.boolfun
 from conftest import random_invertible, systematic_cis_code
@@ -92,6 +95,32 @@ def test_walsh_linear_support(rng):
             for b in range(1 << k):
                 want = (1 << k) if a == m.mul_vec(b) else 0
                 assert w.value(a, b) == want
+
+
+@given(st.integers(1, 7).flatmap(lambda k: st.permutations(range(1 << k))))
+def test_walsh_parseval(table):
+    k = len(table).bit_length() - 1
+    values = walsh_table(BooleanPermutation(k, table)).values
+    assert values.dtype == np.int16
+    w = values.astype(np.int64)
+    assert (np.square(w).sum(axis=0) == 4**k).all()
+    assert w[0, 0] == 1 << k
+
+
+def test_walsh_k12_affine_int16(rng):
+    # F(x) = x.M ^ c has W(a, b) = (-1)^(b.c) 2^k on a = M b, so both
+    # +4096 and -4096 must come through the int16 table exactly
+    k, n = 12, 1 << 12
+    m = random_invertible(rng, k)
+    c = rng.randrange(1, n)
+    values = walsh_table(BooleanPermutation(k, [m.vec_mul(x) ^ c for x in range(n)])).values
+    assert values.dtype == np.int16
+    b = np.arange(n)
+    a_of_b = [m.mul_vec(v) for v in range(n)]
+    signs = 1 - 2 * np.array([parity_dot(v, c) for v in range(n)])
+    assert np.count_nonzero(values) == n
+    assert (values[a_of_b, b] == n * signs).all()
+    assert values.min() == -n and values.max() == n
 
 
 def test_walsh_cap():

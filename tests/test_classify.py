@@ -352,14 +352,14 @@ def test_classify_small_lengths():
 
 
 @pytest.mark.slow
-def test_classify_length_12():
-    reps, row = classify_tcis(4)
+def test_classify_length_12(classification):
+    reps, row = classification(4, 3)
     assert len(reps) == 361
     assert row.by_d == ((3, (0, 170)), (4, (6, 172)), (5, (0, 12)), (6, (0, 1)))
 
 
-def class_digest(k, t):
-    reps, row = classify_tcis(k, t, allow_slow=True)
+def class_digest(classification, k, t):
+    reps, row = classification(k, t)
     text = repr(([c.gen.rows for c in reps], row.length, row.by_d))
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -380,13 +380,13 @@ CLASS_DIGESTS = {
 
 
 @pytest.mark.parametrize("k,t", sorted(CLASS_DIGESTS))
-def test_classify_digest(k, t):
-    assert class_digest(k, t) == CLASS_DIGESTS[k, t]
+def test_classify_digest(classification, k, t):
+    assert class_digest(classification, k, t) == CLASS_DIGESTS[k, t]
 
 
 @pytest.mark.slow
-def test_classify_digest_length_12():
-    assert class_digest(4, 3) == (
+def test_classify_digest_length_12(classification):
+    assert class_digest(classification, 4, 3) == (
         "1fe0202c78a8a522f9908b03cb4229bc888b29cb8df8bf945b2368f5f993ed7d"
     )
 
@@ -402,8 +402,8 @@ K5_DIGESTS = {
 
 @pytest.mark.slow
 @pytest.mark.parametrize("k,t", sorted(K5_DIGESTS))
-def test_classify_digest_k5(k, t):
-    assert class_digest(k, t) == K5_DIGESTS[k, t]
+def test_classify_digest_k5(classification, k, t):
+    assert class_digest(classification, k, t) == K5_DIGESTS[k, t]
 
 
 def pin_code(rng):

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from tcis import formats
-from tcis.boolfun import derive_bijections
+from tcis.boolfun import BooleanPermutation, derive_bijections
 from tcis.cli import main
 from tcis.codes import LinearCode
 from tcis.gf2 import BitMatrix
@@ -122,7 +122,10 @@ def test_cip_strength(capsys, tmp_path, bk_24_8):
     rc, obj, _ = jrun(capsys, ["cip", str(p1), str(p2)])
     assert rc == 0 and obj == {"k": 8, "strength": 7}
 
-    rc, out, err = run(capsys, ["cip", str(p1), str(p2), "--cap", "4"])
+    # k = 11 is past the library's strength cap
+    big = tmp_path / "k11.perm"
+    formats.save(big, BooleanPermutation.identity(11))
+    rc, out, err = run(capsys, ["cip", str(big), str(big)])
     assert rc == 3 and out == "" and err.startswith("infeasible:")
 
 

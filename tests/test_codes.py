@@ -156,6 +156,18 @@ def test_enumerator_validation():
         DistanceEnumerator(2, 2, (1, 2, 1))  # diagonal short
 
 
+def test_enumerator_cap_before_listing(monkeypatch, rng):
+    # an oversized code must be refused before its codewords are listed
+    def refuse(self):
+        raise AssertionError("codewords listed before the size cap check")
+
+    monkeypatch.setattr(LinearCode, "codewords", refuse)
+    with pytest.raises(Infeasible, match="exceeds cap"):
+        dual_distance(random_code(rng, 48, 21))
+    with pytest.raises(Infeasible, match="exceeds cap"):
+        distance_enumerator(random_code(rng, 20, 17), distance_invariant=False)
+
+
 def test_macwilliams_exact(rng):
     # transform equals |C|^2 times the dual weight distribution
     for _ in range(25):

@@ -1,13 +1,16 @@
 """Tests for the bin / z4 / qc / perm text formats."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_code, random_invertible
 from tcis.boolfun import BooleanPermutation
 from tcis.codes import LinearCode
 from tcis.construct import QcSpec
 from tcis.formats import emit, load, parse, save
-from tcis.z4 import Z4Code
+from tcis.gf2 import BitMatrix, Echelon
+from tcis.z4 import Z4Code, Z4Matrix
 
 
 DATA_FILES = [
@@ -80,6 +83,54 @@ def test_qc_round_trip(qc_243_9):
     text = emit(qc_243_9)
     assert text.splitlines()[0] == "qc 27 9"
     assert parse(text) == qc_243_9
+
+
+@st.composite
+def bin_codes(draw):
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=n))
+    independent = [rows[i] for i in Echelon(rows).pivots]
+    return LinearCode(BitMatrix(independent, n))
+
+
+@st.composite
+def z4_codes(draw):
+    n = draw(st.integers(1, 10))
+    row = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    return Z4Code(Z4Matrix(draw(st.lists(row, min_size=1, max_size=n))))
+
+
+@st.composite
+def qc_specs(draw):
+    t, m = draw(st.integers(2, 6)), draw(st.integers(1, 12))
+    poly = st.integers(0, (1 << m) - 1)
+    return QcSpec(t, m, tuple(draw(st.lists(poly, min_size=t, max_size=t))))
+
+
+@st.composite
+def perms(draw):
+    k = draw(st.integers(1, 5))
+    return BooleanPermutation(k, draw(st.permutations(range(1 << k))))
+
+
+FORMAT_OBJECTS = {"bin": bin_codes(), "z4": z4_codes(), "qc": qc_specs(), "perm": perms()}
+
+
+def _same(x, y) -> bool:
+    # Z4Code has no equality of its own; its generator decides
+    if isinstance(x, Z4Code):
+        return isinstance(y, Z4Code) and x.gen == y.gen
+    return x == y
+
+
+@pytest.mark.parametrize("kind", sorted(FORMAT_OBJECTS))
+@given(data=st.data())
+def test_round_trip_property(kind, data):
+    x = data.draw(FORMAT_OBJECTS[kind])
+    text = emit(x)
+    assert text.split()[0] == kind
+    assert _same(parse(text), x)
+    assert emit(parse(text)) == text
 
 
 def test_save_load(tmp_path, rng):
