@@ -116,10 +116,6 @@ class UnrestrictedCode:
     def size(self) -> int:
         return len(self.words)
 
-    @classmethod
-    def from_linear(cls, c: LinearCode) -> "UnrestrictedCode":
-        return cls(c.n, c.codewords(), distance_invariant=True)
-
     def __repr__(self) -> str:
         return f"UnrestrictedCode(n={self.n}, size={self.size})"
 

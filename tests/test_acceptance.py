@@ -52,11 +52,6 @@ def verdict(num: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num:02d}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def length_12_classification(classification):
-    return classification(4, 3)
-
-
 def test_criterion_01_masking_pipeline_end_to_end(bk_24_8):
     t0 = time.time()
     d = min_distance(bk_24_8)
@@ -78,12 +73,12 @@ def test_criterion_01_masking_pipeline_end_to_end(bk_24_8):
                    f"strength={strength}, {elapsed:.2f}s")
 
 
-def test_criterion_02_classification_table(length_12_classification):
+def test_criterion_02_classification_table(classification):
     rows = {}
     for k in (1, 2, 3):
         reps, row = classify_tcis(k)
         rows[3 * k] = (len(reps), row.by_d)
-    reps12, row12 = length_12_classification
+    reps12, row12 = classification(4, 3)
     rows[12] = (len(reps12), row12.by_d)
     ok = (
         rows[3] == (1, ((3, (0, 1)),))
@@ -116,10 +111,10 @@ def test_criterion_03_cat_k4():
     verdict(3, ok, f"invertible-block class count k=4: {count} (opt-in)")
 
 
-def test_criterion_04_optimal_class_uniqueness(length_12_classification):
+def test_criterion_04_optimal_class_uniqueness(classification):
     _, row6 = classify_tcis(2)
     reps9, row9 = classify_tcis(3)
-    _, row12 = length_12_classification
+    _, row12 = classification(4, 3)
     best6 = dict(row6.by_d).get(4, (0, 0))
     best9 = dict(row9.by_d).get(4, (0, 0))
     best12 = dict(row12.by_d).get(6, (0, 0))
