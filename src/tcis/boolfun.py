@@ -13,6 +13,7 @@ of a convolution is decidable, not approximate.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -311,8 +312,16 @@ def group_convolution(f: LeakageFunction, g: LeakageFunction) -> LeakageFunction
         raise ValueError("sizes disagree")
     if f.k > WALSH_K_CAP:
         raise Infeasible(f"k={f.k} exceeds convolution cap {WALSH_K_CAP}")
-    fh, gh = (_fwht(np.array(h.values, dtype=object)) for h in (f, g))
-    return LeakageFunction(f.k, _fwht(fh * gh) / (1 << f.k))
+    (fh, df), (gh, dg) = (_integer_transform(h) for h in (f, g))
+    den = (df * dg) << f.k
+    return LeakageFunction(f.k, (Fraction(v, den) for v in _fwht(fh * gh)))
+
+
+def _integer_transform(h: LeakageFunction) -> tuple[np.ndarray, int]:
+    # the transform of d*h over Python ints, d the least common denominator
+    d = math.lcm(*(v.denominator for v in h.values))
+    ints = [v.numerator * (d // v.denominator) for v in h.values]
+    return _fwht(np.array(ints, dtype=object)), d
 
 
 @dataclass(frozen=True)

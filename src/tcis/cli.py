@@ -161,11 +161,15 @@ def cmd_classify(args) -> int:
     reps, row = classify_tcis(args.k, args.t, allow_slow=args.allow_slow)
     if args.out is not None:
         outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        width = len(str(len(reps)))
-        for i, code in enumerate(reps, 1):
-            formats.save(outdir / f"code_{i:0{width}d}.code", code)
-        (outdir / "table.txt").write_text(class_table_text([row]) + "\n")
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            width = len(str(len(reps)))
+            for i, code in enumerate(reps, 1):
+                formats.save(outdir / f"code_{i:0{width}d}.code", code)
+            (outdir / "table.txt").write_text(class_table_text([row]) + "\n")
+        except OSError as e:
+            where = e.filename or str(outdir)
+            raise ValueError(f"cannot write {where!r}: {e.strerror}") from e
     if args.json:
         _emit_json({
             "k": args.k,
@@ -342,8 +346,11 @@ def main(argv=None) -> int:
     except Infeasible as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (ValueError, OSError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
+    except OSError as e:
+        print(f"error: cannot read {e.filename!r}: {e.strerror}", file=sys.stderr)
         return EXIT_PARSE
 
 

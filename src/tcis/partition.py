@@ -5,6 +5,13 @@ generator submatrix.  The negative branch returns a column set S whose size
 exceeds t times its rank, which certifies that no such splitting can exist:
 any valid splitting would have to place the columns of S into t independent
 pieces, impossible once |S| > t * rank(S).
+
+The walk is matroid partitioning by augmenting exchange chains (Edmonds,
+"Minimum partition of a matroid into independent subsets", 1965; Knuth,
+"Matroid partitioning", 1973).  Its span chain asks for the closures of
+the same column sets again and again across chain steps and swaps, so each
+walk computes the closure of each distinct set once and keeps it until
+the walk returns.
 """
 from __future__ import annotations
 
@@ -37,10 +44,6 @@ class ColumnMatroid:
 
     def rank_of(self, idx) -> int:
         return Echelon(self.cols[j] for j in idx).rank
-
-    def independent(self, idx) -> bool:
-        idx = list(idx)
-        return self.rank_of(idx) == len(idx)
 
 
 def span_closure(m: ColumnMatroid, s) -> frozenset[int]:
@@ -107,6 +110,9 @@ def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
     sets: list[set[int]] = [set() for _ in range(t)]
     assigned: set[int] = set()
     everything = frozenset(range(n))
+    # the matroid is fixed, so a closure, once computed, holds for the
+    # whole walk; the same intersections recur across chain steps and swaps
+    closures: dict[frozenset[int], frozenset[int]] = {}
 
     def violation(s: frozenset[int], r: int) -> Violation:
         v = Violation(tuple(sorted(s)), r, t)
@@ -126,8 +132,10 @@ def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
             while True:
                 idx = j % t
                 j += 1
-                inter = sets[idx] & prev
-                cur = span_closure(matroid, inter)
+                inter = prev & sets[idx]
+                cur = closures.get(inter)
+                if cur is None:
+                    cur = closures[inter] = span_closure(matroid, inter)
                 cur_rank = len(inter)  # inter is independent, hence a basis
                 if len(cur) > t * cur_rank:
                     return violation(cur, cur_rank)
@@ -190,28 +198,30 @@ def exhaustive_partition_oracle(c: LinearCode, t: int) -> Partition | None:
         raise ValueError(f"length {c.n} is not t*k = {t}*{c.k}")
     if c.n > EXHAUSTIVE_N_CAP:
         raise Infeasible(f"length {c.n} exceeds oracle cap {EXHAUSTIVE_N_CAP}")
-    matroid = ColumnMatroid(c.gen)
+    cols = c.gen.columns()
     k = c.k
 
     def blocks_from(avail: list[int]):
         # All independent k-subsets of avail that contain avail[0], to
-        # kill the ordering symmetry between blocks.
+        # kill the ordering symmetry between blocks.  Each depth carries
+        # the span of its chosen columns as a set of vectors, so a column
+        # is independent of them iff it lies outside that set.
         first = avail[0]
         chosen = [first]
 
-        def grow(start: int):
+        def grow(start: int, span: set[int]):
             if len(chosen) == k:
                 yield list(chosen)
                 return
             for pos in range(start, len(avail)):
-                chosen.append(avail[pos])
-                # grow only independent sets, so every full one is a basis
-                if matroid.rank_of(chosen) == len(chosen):
-                    yield from grow(pos + 1)
-                chosen.pop()
+                v = cols[avail[pos]]
+                if v not in span:
+                    chosen.append(avail[pos])
+                    yield from grow(pos + 1, span | {u ^ v for u in span})
+                    chosen.pop()
 
-        if matroid.independent(chosen):  # a zero first column starts none
-            yield from grow(1)
+        if cols[first]:  # a zero first column starts none
+            yield from grow(1, {0, cols[first]})
 
     solution: list[tuple[int, ...]] = []
 
@@ -220,7 +230,7 @@ def exhaustive_partition_oracle(c: LinearCode, t: int) -> Partition | None:
             return True
         for block in blocks_from(avail):
             solution.append(tuple(block))
-            rest = [j for j in avail if j not in set(block)]
+            rest = [j for j in avail if j not in block]
             if search(rest):
                 return True
             solution.pop()

@@ -179,6 +179,22 @@ def test_domain_errors_exit_2(capsys, argv, message):
     assert err.strip() == message
 
 
+def test_unreadable_paths_exit_2(capsys, tmp_path):
+    missing = tmp_path / "missing.code"
+    for path, reason in ((tmp_path, "Is a directory"), (missing, "No such file or directory")):
+        rc, out, err = run(capsys, ["cis-check", str(path), "3"])
+        assert rc == 2 and out == ""
+        assert err.strip() == f"error: cannot read {str(path)!r}: {reason}"
+
+
+def test_unwritable_out_exit_2(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    rc, out, err = run(capsys, ["classify", "1", "--out", str(blocker)])
+    assert rc == 2 and out == ""
+    assert err.strip() == f"error: cannot write {str(blocker)!r}: File exists"
+
+
 def test_bounds(capsys):
     rc, out, _ = run(capsys, ["bounds", "1", "3"])
     assert rc == 0
