@@ -133,7 +133,7 @@ def canonical_form(c: LinearCode) -> CanonicalCode:
     rec({0: 0}, list(range(n)), ())
     perm = best_perm[0]
     # canonical column 0 is the most significant bit of each packed word
-    form = map(c.gen.take_columns(perm[::-1]).vec_mul, range(1 << k))
+    form = LinearCode(c.gen.take_columns(perm[::-1])).codewords()
     return CanonicalCode(n, k, tuple(sorted(form)), perm)
 
 

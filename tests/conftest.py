@@ -84,6 +84,32 @@ def systematic_cis_code(rng: random.Random, k: int, t: int) -> LinearCode:
     return LinearCode(BitMatrix(rows, t * k))
 
 
+def planted_code(rng, k, t):
+    """Random [tk, k] code with t*r + 1 columns squeezed into r coordinates.
+
+    Those columns span at most r dimensions, so the code has no t-CIS
+    partition and the walk must return a violation.
+    """
+    n = t * k
+    while True:
+        r = rng.randrange(0, k)
+        cols = [rng.randrange(1 << k) for _ in range(n)]
+        for j in rng.sample(range(n), t * r + 1):
+            cols[j] = rng.randrange(1 << r)
+        rows = [sum(((col >> i) & 1) << j for j, col in enumerate(cols)) for i in range(k)]
+        m = BitMatrix(rows, n)
+        if rank(m) == k:
+            return LinearCode(m)
+
+
+def scrambled_cis_code(rng, k, t):
+    c = systematic_cis_code(rng, k, t)
+    perm = list(range(c.n))
+    rng.shuffle(perm)
+    u = random_invertible(rng, k)
+    return LinearCode(u.mul(c.gen.take_columns(perm)))
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC15)

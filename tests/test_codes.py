@@ -1,11 +1,19 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_code, random_full_rank
+import tcis.codes
+from conftest import planted_code, random_code, random_full_rank, scrambled_cis_code
 from tcis.codes import (
     DistanceEnumerator,
     LinearCode,
@@ -110,6 +118,91 @@ def test_min_distance_cap():
     c = LinearCode(BitMatrix.identity(8))
     with pytest.raises(Infeasible):
         min_distance(c, cap=16)
+
+
+MIN_DISTANCE_CASES = {
+    "random": lambda rng, k: random_code(rng, rng.randrange(k, 25), k),
+    # fewer than 2k columns: at most one information set
+    "high_rate": lambda rng, k: random_code(rng, rng.randrange(k, min(2 * k, 25)), k),
+    # zero and repeated leading columns
+    "front_dependent": lambda rng, k: _front_dependent_code(rng, rng.randrange(k, 25), k),
+    "planted": lambda rng, k: planted_code(rng, k, rng.randrange(2, 24 // k + 1)),
+    "cis": lambda rng, k: scrambled_cis_code(rng, k, rng.randrange(2, 24 // k + 1)),
+}
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(1, 12),
+    st.sampled_from(sorted(MIN_DISTANCE_CASES)),
+    st.integers(-1, 1),
+    st.integers(0, 2**32),
+)
+# codes whose lightest words first appear past information weight 1, so a
+# stopping bound that is one too high or ignores rank defects returns more
+@example(9, "cis", 0, 21)
+@example(8, "cis", 0, 295)
+@example(9, "random", 0, 61)
+@example(8, "front_dependent", 0, 320)
+@example(8, "planted", 0, 1470)
+def test_min_distance_matches_brute_force(k, case, shift, seed):
+    # the crossover moves to k - 1, k or k + 1, so small codes take either
+    # method right at its edge
+    code = MIN_DISTANCE_CASES[case](random.Random(seed), k)
+    with mock.patch.object(tcis.codes, "BZ_MIN_K", max(1, k + shift)):
+        assert min_distance(code) == brute_min_distance(code)
+
+
+def test_min_distance_past_crossover():
+    # above the real crossover, on scrambled t-CIS codes of length up to 88
+    rng = random.Random(0xB2)
+    for k in range(13, 23):
+        for t in (2, 3, 4):
+            code = scrambled_cis_code(rng, k, t)
+            wd = weight_distribution(code)
+            assert min_distance(code) == next(i for i in range(1, code.n + 1) if wd[i])
+
+
+def test_min_distance_cap_counts_listed_words():
+    # Brouwer-Zimmermann lists far fewer than 2^20 words on a [60, 20] 3-CIS code
+    code = scrambled_cis_code(random.Random(0x3C15), 20, 3)
+    wd = weight_distribution(code)
+    assert min_distance(code, cap=1 << 16) == next(i for i in range(1, 61) if wd[i])
+    with pytest.raises(Infeasible, match="exceed cap 60"):
+        min_distance(code, cap=60)
+
+
+WITNESS_RECHECK = """
+import tcis.codes
+from tcis.codes import LinearCode, min_distance
+from tcis.gf2 import BitMatrix, CertificateError
+
+if __debug__:
+    raise SystemExit("assertions are still on")
+real = tcis.codes._information_forms
+
+def corrupted(c):
+    # a weight-1 word outside the code replaces the first row of the first form
+    (r, rows), *rest = real(c)
+    return [(r, (1,) + rows[1:]), *rest]
+
+tcis.codes._information_forms = corrupted
+i13 = BitMatrix.identity(13)
+try:
+    min_distance(LinearCode(i13.hstack(i13).hstack(i13)))
+except CertificateError:
+    print("CertificateError")
+"""
+
+
+def test_min_distance_witness_recheck_survives_python_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", WITNESS_RECHECK],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out.split() == ["CertificateError"]
 
 
 def test_weight_distribution(rng):

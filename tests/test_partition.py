@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_code, random_invertible, systematic_cis_code
+from conftest import planted_code, random_code, scrambled_cis_code, systematic_cis_code
 from tcis.codes import LinearCode
 from tcis.gf2 import BitMatrix, rank
 from tcis.partition import (
@@ -180,39 +180,13 @@ def test_qc_243_9_is_27_cis(qc_243_9):
     _assert_valid_partition(code, 27, p)
 
 
-def _planted_code(rng, k, t):
-    """Random [tk, k] code with t*r + 1 columns squeezed into r coordinates.
-
-    Those columns span at most r dimensions, so the code has no t-CIS
-    partition and the walk must return a violation.
-    """
-    n = t * k
-    while True:
-        r = rng.randrange(0, k)
-        cols = [rng.randrange(1 << k) for _ in range(n)]
-        for j in rng.sample(range(n), t * r + 1):
-            cols[j] = rng.randrange(1 << r)
-        rows = [sum(((col >> i) & 1) << j for j, col in enumerate(cols)) for i in range(k)]
-        m = BitMatrix(rows, n)
-        if rank(m) == k:
-            return LinearCode(m)
-
-
-def _scrambled_cis_code(rng, k, t):
-    c = systematic_cis_code(rng, k, t)
-    perm = list(range(c.n))
-    rng.shuffle(perm)
-    u = random_invertible(rng, k)
-    return LinearCode(u.mul(c.gen.take_columns(perm)))
-
-
 def partition_outcomes(seed):
     """Walk outcomes on seeded random, planted and scrambled CIS codes."""
     rng = random.Random(seed)
     out = []
     for t in range(2, 7):
         for k in range(1, 6):
-            for make in (random_code, _planted_code, _scrambled_cis_code):
+            for make in (random_code, planted_code, scrambled_cis_code):
                 for _ in range(3):
                     c = make(rng, t * k, k) if make is random_code else make(rng, k, t)
                     res = t_cis_partition(c, t)
@@ -295,7 +269,7 @@ SMALL_SHAPES = [(t, k) for t in range(2, 7) for k in range(1, 7) if t * k <= 12]
 @settings(max_examples=200)
 @given(
     st.sampled_from(SMALL_SHAPES),
-    st.sampled_from([random_code, _planted_code, _scrambled_cis_code]),
+    st.sampled_from([random_code, planted_code, scrambled_cis_code]),
     st.integers(0, 2**32),
 )
 def test_walk_matches_oracle(shape, make, seed):
@@ -305,9 +279,9 @@ def test_walk_matches_oracle(shape, make, seed):
     got = t_cis_partition(c, t)
     want = exhaustive_partition_oracle(c, t)
     assert got.is_partition == (want is not None)
-    if make is _scrambled_cis_code:
+    if make is scrambled_cis_code:
         assert got.is_partition
-    if make is _planted_code:
+    if make is planted_code:
         assert not got.is_partition
     for p in (got, want):
         if isinstance(p, Partition):
@@ -333,7 +307,7 @@ def test_paper_sweep_scale():
     walked = 0
     for t in range(3, 257):
         for k in range(1, 256 // t + 1):
-            c = _scrambled_cis_code(rng, k, t)
+            c = scrambled_cis_code(rng, k, t)
             p = t_cis_partition(c, t)
             assert isinstance(p, Partition), (t, k)
             _assert_valid_partition(c, t, p)
