@@ -19,8 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import LinearCode, UnrestrictedCode, dual, dual_distance
+from .codes import LinearCode, UnrestrictedCode, dual_distance
 from .gf2 import BitMatrix, CertificateError, Infeasible, invert
+from .partition import t_cis_partition
 
 __all__ = [
     "BooleanPermutation",
@@ -241,8 +242,6 @@ def derive_bijections(c: LinearCode, t: int) -> list[BooleanPermutation]:
     """
     if c.n != t * c.k:
         raise ValueError(f"length {c.n} is not t*k = {t}*{c.k}")
-    from .partition import t_cis_partition
-
     outcome = t_cis_partition(c, t)
     if not outcome.is_partition:
         raise ValueError("code is not t-CIS; no bijections to derive")

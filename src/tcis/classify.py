@@ -35,6 +35,7 @@ import numpy as np
 
 from .codes import LinearCode, is_self_orthogonal, min_distance, weight_distribution
 from .gf2 import BitMatrix, CertificateError, Echelon, Infeasible
+from .partition import t_cis_partition
 
 __all__ = [
     "CanonicalCode",
@@ -46,10 +47,13 @@ __all__ = [
     "class_table_text",
     "CANONICAL_N_CAP",
     "CANONICAL_WORDS_CAP",
+    "CAT_MULTISET_CAP",
 ]
 
 CANONICAL_N_CAP = 15
 CANONICAL_WORDS_CAP = 64
+# (3, 7) keys 1,107,568 multisets in about 4 s; (3, 8) would key 5,379,616
+CAT_MULTISET_CAP = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -224,6 +228,11 @@ def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
             else f"k={k} exceeds the Cat enumeration guard"
         )
     bases, _ = _cat_images(k)
+    multisets = comb(len(bases) + t - 2, t - 1)
+    if multisets > CAT_MULTISET_CAP:
+        raise Infeasible(
+            f"k={k}, t={t}: {multisets} multisets of bases exceed cap {CAT_MULTISET_CAP}"
+        )
     first: dict[tuple[int, ...], list[int]] = {}
     for key, combo in _cat_keys(k, t):
         first.setdefault(key, combo)
@@ -428,7 +437,6 @@ def classify_tcis(k: int, t: int = 3, allow_slow: bool = False):
             code = _blocks_code(k, blocks)
             forms.setdefault(canonical_form(code).form, code)
         reps = [forms[f] for f in sorted(forms)]
-    from .partition import t_cis_partition
 
     counts: dict[int, list[int]] = {}
     for i, code in enumerate(reps):

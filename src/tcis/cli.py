@@ -16,6 +16,7 @@ from pathlib import Path
 
 from . import formats
 from .boolfun import BooleanPermutation, cip_strength, derive_bijections
+from .classify import class_table_text, classify_tcis
 from .codes import (
     LinearCode,
     dual_distance,
@@ -156,8 +157,6 @@ def cmd_cip(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    from .classify import class_table_text, classify_tcis
-
     reps, row = classify_tcis(args.k, args.t, allow_slow=args.allow_slow)
     if args.out is not None:
         outdir = Path(args.out)

@@ -7,8 +7,8 @@ codeword pairs, so entries sum to |C|^2 and the i-th entry is |C|^2 B_i
 in the usual normalization.
 
 ``min_distance`` picks its method from the code.  Below ``BZ_MIN_K``, the
-measured crossover, or when the columns hold fewer than two disjoint
-information sets, a Gray walk lists all 2^k codewords.  Otherwise it is the
+measured crossover, or when the greedy split of the columns below yields a
+single set, a Gray walk lists all 2^k codewords.  Otherwise it is the
 Brouwer-Zimmermann search (A. E. Brouwer, "Bounds on the size of linear
 codes", Handbook of Coding Theory, 1998; M. Grassl, "Searching for linear
 codes with large minimum distance", 2006).  The columns split greedily into
@@ -22,7 +22,8 @@ re-checked as a codeword of that weight before d is returned.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .gf2 import (BitMatrix, CertificateError, Echelon, Infeasible, invert, parity_dot,
@@ -166,20 +167,22 @@ class DistanceEnumerator:
         )
 
 
+def _krawtchouk_rows(n: int, js: Sequence[int]) -> Iterator[list[int]]:
+    # K_i(j) for j in js, i = 0..n, by the three-term recurrence
+    # (i+1) K_{i+1} = (n-2j) K_i - (n-i+1) K_{i-1}, with K_{-1} = 0
+    prev, cur = [0] * len(js), [1] * len(js)
+    yield cur
+    for i in range(n):
+        prev, cur = cur, [
+            ((n - 2 * j) * c - (n - i + 1) * p) // (i + 1)
+            for j, c, p in zip(js, cur, prev)
+        ]
+        yield cur
+
+
 def krawtchouk_table(n: int) -> list[list[int]]:
     """K[i][j] = sum_l (-1)^l C(j,l) C(n-j, i-l), for 0 <= i, j <= n."""
-    table = []
-    for i in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            row.append(
-                sum(
-                    (-1) ** l * math.comb(j, l) * math.comb(n - j, i - l)
-                    for l in range(0, min(i, j) + 1)
-                )
-            )
-        table.append(row)
-    return table
+    return list(_krawtchouk_rows(n, range(n + 1)))
 
 
 def systematic_form(c: LinearCode) -> tuple[LinearCode, tuple[int, ...]]:
@@ -235,20 +238,9 @@ def min_distance(c: LinearCode, cap: int = MIN_DISTANCE_CAP) -> int:
     """
     k = c.k
     forms = _information_forms(c) if k >= BZ_MIN_K else []
-    if sum(r == k for r, _ in forms) < 2:
-        if (1 << k) > cap:
-            raise Infeasible(
-                f"enumeration infeasible: 2^{k} messages exceed cap {cap}"
-            )
-        rows = c.gen.rows
-        best = c.n + 1
-        word = 0
-        for m in range(1, 1 << k):
-            word ^= rows[(m & -m).bit_length() - 1]
-            w = word.bit_count()
-            if w < best:
-                best = w
-        return best
+    if len(forms) < 2:
+        wd = weight_distribution(c, cap)
+        return next(w for w in range(1, c.n + 1) if wd[w])
     best, witness, listed = c.n + 1, 0, 0
     # layers[f][i]: words of the current weight in form f whose last row is i - 1
     layers = [[[0]] + [[]] * k for _ in forms]
@@ -339,19 +331,14 @@ def dual_distance(c, distance_invariant: bool | None = None) -> int | float:
         de = distance_enumerator(c, distance_invariant)
     n = de.n
     support = [j for j in range(n + 1) if de.counts[j]]
-    # Krawtchouk columns via (i+1)K_{i+1} = (n-2j)K_i - (n-i+1)K_{i-1},
-    # evaluated only at occurring distances, stopping at the first nonzero
-    # coefficient; avoids the full (n+1)^2 table at large n.
-    prev = {j: 1 for j in support}
-    cur = {j: n - 2 * j for j in support}
-    for i in range(1, n + 1):
-        if sum(de.counts[j] * cur[j] for j in support):
+    counts = [de.counts[j] for j in support]
+    # Krawtchouk rows only at occurring distances, stopping at the first
+    # nonzero coefficient; avoids the full (n+1)^2 table at large n.
+    rows = _krawtchouk_rows(n, support)
+    next(rows)  # K_0: the i = 0 coefficient is |C|^2, never zero
+    for i, row in enumerate(rows, 1):
+        if sum(map(operator.mul, counts, row)):
             return i
-        nxt = {
-            j: ((n - 2 * j) * cur[j] - (n - i + 1) * prev[j]) // (i + 1)
-            for j in support
-        }
-        prev, cur = cur, nxt
     return math.inf
 
 

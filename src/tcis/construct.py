@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from itertools import product
 
+from .classify import canonical_form
 from .codes import LinearCode
 from .gf2 import (
     BitMatrix,
@@ -244,8 +245,6 @@ def mass_formula_check(k: int, t: int) -> MassReport:
     of such codes, |GL(k,2)|^(t-1); a mismatch would mean the equivalence
     relation lost or double-counted a code.
     """
-    from .classify import canonical_form
-
     if k < 1:
         raise ValueError("k must be at least 1")
     if t < 2:

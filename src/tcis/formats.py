@@ -109,8 +109,11 @@ def emit(obj) -> str:
 
 
 def load(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        raise ValueError(f"{path}: not an ASCII text file")
+    return parse(data.decode("ascii"))
 
 
 def save(path, obj) -> None:

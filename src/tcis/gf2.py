@@ -5,10 +5,10 @@ character of a printed vector string is bit 0.  Matrices store one int per
 row under the same convention.  Polynomials are ints with bit j holding the
 coefficient of x**j.
 
-Every rank, span, solve and basis question is answered by one
+Every rank, span, solve, basis and inverse question is answered by one
 elimination kernel, :class:`Echelon`: a table holding one reduced row per
-leading bit, which also expresses a vector over the vectors it was built
-from.
+leading bit, each carrying the combination of inputs that sums to it, so it
+expresses vectors over its inputs; an inverse expresses the unit vectors.
 """
 from __future__ import annotations
 
@@ -186,55 +186,51 @@ class Echelon:
 
     Built from a sequence of vectors (insert appends one more), it stores
     each vector that is independent of those before it; pivots lists their
-    positions.  Tags ride in low bits: express(v) eliminates the vectors
-    widened by one tag bit each, (u_i << m) | (1 << i), and the remainder
-    of v << m is then the mask of the pivots that sum to v.
+    positions.  Every stored row carries its combination, the mask of the
+    inserted positions that sum to it, set by the reduction that stores
+    the row, so express(v) is one more reduction that XORs those masks.
     """
 
-    __slots__ = ("_rows", "_vectors", "pivots")
+    __slots__ = ("_rows", "_masks", "_size", "pivots")
 
     def __init__(self, vectors: Iterable[int] = ()):
         self._rows: dict[int, int] = {}
-        self._vectors = vectors = list(vectors)
-        self.pivots = self._sweep(vectors, True)
+        self._masks: dict[int, int] = {}
+        self._size = 0
+        self.pivots: list[int] = []
+        self._store(vectors)
 
-    def _sweep(self, vectors: Iterable[int], store: bool) -> list[int]:
-        # Eliminate a whole sequence in one call.  With store, a nonzero
-        # remainder becomes a new row and the positions stored are returned;
-        # without, the positions of the vectors that reduce to zero.
-        rows = self._rows
-        hits = []
-        for j, v in enumerate(vectors):
+    def _store(self, vectors: Iterable[int]) -> bool:
+        # one loop over the whole sequence; a nonzero remainder becomes the
+        # row of its leading bit, its mask the positions that sum to it.
+        # True when some vector was stored.
+        rows, masks, pivots = self._rows, self._masks, self.pivots
+        rank = len(rows)
+        j = self._size
+        for v in vectors:
+            m = 1 << j
             while v:
                 b = v.bit_length() - 1
                 r = rows.get(b)
                 if r is None:
-                    if store:
-                        rows[b] = v
-                        hits.append(j)
+                    rows[b] = v
+                    masks[b] = m
+                    pivots.append(j)
                     break
                 v ^= r
-            else:
-                if not store:
-                    hits.append(j)
-        return hits
+                m ^= masks[b]
+            j += 1
+        self._size = j
+        return len(rows) > rank
 
     def insert(self, v: int) -> bool:
         """Append v; True when it was independent and is now stored."""
-        self._vectors.append(v)
-        if self._sweep((v,), True):
-            self.pivots.append(len(self._vectors) - 1)
-            return True
-        return False
+        return self._store((v,))
 
     def reduce(self, v: int) -> int:
         """Remainder of v after elimination; zero exactly on the span."""
-        # _sweep reports positions only; this is its one-vector twin
         rows = self._rows
-        while v:
-            r = rows.get(v.bit_length() - 1)
-            if r is None:
-                break
+        while v and (r := rows.get(v.bit_length() - 1)) is not None:
             v ^= r
         return v
 
@@ -243,11 +239,16 @@ class Echelon:
 
     def express(self, v: int) -> int | None:
         """Mask of the pivots summing to v, bit i for position i; None off the span."""
-        if v not in self:
-            return None
-        m = len(self._vectors)
-        tagged = Echelon((u << m) | (1 << i) for i, u in enumerate(self._vectors))
-        return tagged.reduce(v << m)
+        rows, masks = self._rows, self._masks
+        m = 0
+        while v:
+            b = v.bit_length() - 1
+            r = rows.get(b)
+            if r is None:
+                return None
+            v ^= r
+            m ^= masks[b]
+        return m
 
     @property
     def rank(self) -> int:
@@ -255,7 +256,15 @@ class Echelon:
 
     def spanned(self, vectors: Iterable[int]) -> list[int]:
         """Positions of the vectors that lie in the span, in one call."""
-        return self._sweep(vectors, False)
+        # reduce inlined: one method call per vector would cost small walks
+        rows = self._rows
+        hits = []
+        for j, v in enumerate(vectors):
+            while v and (r := rows.get(v.bit_length() - 1)) is not None:
+                v ^= r
+            if not v:
+                hits.append(j)
+        return hits
 
 
 def rank(m: BitMatrix) -> int:
@@ -263,26 +272,13 @@ def rank(m: BitMatrix) -> int:
 
 
 def invert(m: BitMatrix) -> BitMatrix | None:
-    """Inverse of a square matrix, or None when singular."""
+    """Inverse of a square matrix, or None when singular; row i expresses e_i."""
     if m.nrows != m.ncols:
         raise ValueError("matrix is not square")
-    k = m.nrows
-    # Gauss-Jordan on [m | I], tracking the augmented half in high bits.
-    aug = [m.row(i) | (1 << (k + i)) for i in range(k)]
-    mask = (1 << k) - 1
-    for col in range(k):
-        piv = None
-        for i in range(col, k):
-            if (aug[i] >> col) & 1:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for i in range(k):
-            if i != col and (aug[i] >> col) & 1:
-                aug[i] ^= aug[col]
-    return BitMatrix([r >> k for r in aug], k)
+    span = Echelon(m.rows)
+    if span.rank < m.nrows:
+        return None
+    return BitMatrix([span.express(1 << i) for i in range(m.ncols)], m.ncols)
 
 
 def solve_in_span(basis: BitMatrix, target: int) -> int | None:

@@ -12,8 +12,10 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .codes import UnrestrictedCode
-from .gf2 import BitMatrix, CertificateError, Infeasible
+from .boolfun import BooleanPermutation
+from .codes import LinearCode, UnrestrictedCode
+from .gf2 import BitMatrix, CertificateError, Infeasible, invert, rank
+from .partition import t_cis_partition
 
 __all__ = [
     "Z4Matrix",
@@ -123,26 +125,18 @@ class Z4Matrix:
 def z4_invert(m: Z4Matrix) -> Z4Matrix | None:
     """Exact inverse over Z4, or None when the determinant is even.
 
-    Z4 is local: a pivot works iff it is odd (a unit).  If some column
-    offers only even entries the mod-2 reduction is singular and so is m.
+    m is invertible iff its mod-2 residue is, and the GF(2) inverse lifts
+    by one Newton step: with x its 0/1 lift, m.x = I + 2E, so
+    x.(2I - m.x) = 2x - x.m.x is the inverse mod 4.
     """
     if m.nrows != m.ncols:
         raise ValueError("matrix is not square")
     k = m.nrows
-    aug = [list(r) + [1 if i == j else 0 for j in range(k)] for i, r in enumerate(m.rows)]
-    for col in range(k):
-        piv = next((i for i in range(col, k) if aug[i][col] % 2 == 1), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = aug[col][col] % 4  # 1 or 3; both are their own inverse
-        if inv_p != 1:
-            aug[col] = [(e * inv_p) % 4 for e in aug[col]]
-        for i in range(k):
-            f = aug[i][col] % 4
-            if i != col and f:
-                aug[i] = [(a - f * b) % 4 for a, b in zip(aug[i], aug[col])]
-    out = Z4Matrix([r[k:] for r in aug])
+    inv = invert(m.residue())
+    if inv is None:
+        return None
+    x = np.array([[r >> j & 1 for j in range(k)] for r in inv.rows])
+    out = Z4Matrix(((2 * x - x @ np.array(m.rows) @ x) % 4).tolist())
     if m.mul(out) != Z4Matrix.identity(k):
         raise CertificateError("Z4 inverse fails m * inverse = I")
     return out
@@ -154,8 +148,6 @@ class Z4Code:
     __slots__ = ("gen", "free")
 
     def __init__(self, gen: Z4Matrix):
-        from .gf2 import rank
-
         self.gen = gen
         self.free = rank(gen.residue()) == gen.nrows
 
@@ -253,9 +245,6 @@ def z4_t_cis_partition(c: Z4Code, t: int):
     invertible over Z4 iff its residue is invertible over GF(2), so the
     binary walk decides; each positive set is re-checked by Z4 inversion.
     """
-    from .codes import LinearCode
-    from .partition import t_cis_partition
-
     if not c.free:
         raise ValueError("unsupported: code is not free, residue rank below k")
     outcome = t_cis_partition(LinearCode(c.gen.residue()), t)
@@ -273,8 +262,6 @@ def z4_derive_bijections(c: Z4Code, t: int):
     invertible over Z4; block i yields the nonlinear permutation
     x -> gray(ungray(x) . (M_i^T)^-1).
     """
-    from .boolfun import BooleanPermutation
-
     k, n = c.k, c.n
     if n != t * k:
         raise ValueError(f"length {n} is not t*k = {t}*{k}")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import tcis.partition
+import tcis.classify
 from conftest import random_code, random_invertible
 from tcis.classify import (
     CANONICAL_N_CAP,
@@ -294,6 +294,11 @@ def test_cat_guards():
         enumerate_cat(5, 2)
     with pytest.raises(Infeasible, match="k=6 exceeds"):
         enumerate_cat(6, 2, allow_slow=True)
+    # the multiset count caps t: 1,203,322,288 at (3, 12), 99,137,080 at (4, 4)
+    with pytest.raises(Infeasible, match="1203322288 multisets"):
+        enumerate_cat(3, 12)
+    with pytest.raises(Infeasible, match="99137080 multisets"):
+        enumerate_cat(4, 4, allow_slow=True)
     with pytest.raises(ValueError):
         enumerate_cat(2, t=1)
     for k in (0, -1):
@@ -456,7 +461,7 @@ def test_classify_certificate_failure_raises(monkeypatch):
     def no_partition(code, t):
         return Violation(tuple(range(code.n)), code.k, t)
 
-    monkeypatch.setattr(tcis.partition, "t_cis_partition", no_partition)
+    monkeypatch.setattr(tcis.classify, "t_cis_partition", no_partition)
     with pytest.raises(CertificateError, match="no 3-CIS partition"):
         classify_tcis(2)
 

@@ -283,6 +283,12 @@ def test_parse_failures_exit_2(capsys, tmp_path):
     rc, _, err = run(capsys, ["report", str(tmp_path / "missing.code")])
     assert rc == 2 and err.startswith("error:")
 
+    accented = tmp_path / "accented.code"
+    accented.write_bytes("bin 2 1\n# \u00e9\n11\n".encode())
+    rc, out, err = run(capsys, ["cis-check", str(accented), "2"])
+    assert rc == 2 and out == "" and err.startswith("error:")
+    assert str(accented) in err and "codec" not in err
+
 
 def test_wrong_file_kind_exit_2(capsys, data_dir, tmp_path):
     rc, _, err = run(capsys, ["cis-check", str(data_dir / "octacode.z4"), "2"])

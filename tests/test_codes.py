@@ -154,13 +154,20 @@ def test_min_distance_matches_brute_force(k, case, shift, seed):
 
 
 def test_min_distance_past_crossover():
-    # above the real crossover, on scrambled t-CIS codes of length up to 88
+    # above the real crossover, on scrambled t-CIS codes of length up to 88,
+    # then on more scrambled 2-CIS codes, whose columns left after the first
+    # greedy information set are often rank-deficient
     rng = random.Random(0xB2)
-    for k in range(13, 23):
-        for t in (2, 3, 4):
-            code = scrambled_cis_code(rng, k, t)
-            wd = weight_distribution(code)
-            assert min_distance(code) == next(i for i in range(1, code.n + 1) if wd[i])
+    codes = [scrambled_cis_code(rng, k, t) for k in range(13, 23) for t in (2, 3, 4)]
+    pairs = [scrambled_cis_code(rng, k, 2) for k in range(13, 19) for _ in range(6)]
+    # splits such as ranks (13, 12, 1) hold a single full-rank set
+    assert any(
+        sum(r == code.k for r, _ in tcis.codes._information_forms(code)) == 1
+        for code in pairs
+    )
+    for code in codes + pairs:
+        wd = weight_distribution(code)
+        assert min_distance(code) == next(i for i in range(1, code.n + 1) if wd[i])
 
 
 def test_min_distance_cap_counts_listed_words():

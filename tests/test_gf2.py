@@ -209,3 +209,75 @@ def test_echelon_insert():
     assert e.rank == 3 and e.pivots == [0, 1, 3]
     assert e.express(0b101) == 0b011 and e.express(0b111) == 0b1010
     assert Echelon([0b01, 0b01]).express(0b10) is None
+
+
+# rows each planted dependency touches: a zero row, a repeated row, a row
+# that is the sum of two others
+PLANTS = {"none": 1, "zero": 1, "repeat": 2, "sum": 3}
+
+
+@st.composite
+def square_matrices(draw):
+    """(rows, singular): an invertible matrix from row operations on I,
+    optionally with one row replaced by a planted dependency."""
+    plant = draw(st.sampled_from(sorted(PLANTS)))
+    k = draw(st.integers(PLANTS[plant], 16))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [1 << i for i in range(k)]
+    for _ in range(4 * k if k > 1 else 0):
+        i, j = rng.sample(range(k), 2)
+        rows[i] ^= rows[j]
+    rng.shuffle(rows)
+    i, *others = rng.sample(range(k), PLANTS[plant])
+    if plant == "zero":
+        rows[i] = 0
+    elif plant != "none":
+        rows[i] = reduce(xor, (rows[j] for j in others))
+    return rows, plant != "none"
+
+
+@given(square_matrices())
+def test_invert_matches_construction(case):
+    rows, singular = case
+    k = len(rows)
+    m = BitMatrix(rows, k)
+    mi = invert(m)
+    assert (mi is None) == singular == (rank(m) < k)
+    if mi is not None:
+        assert m.mul(mi) == mi.mul(m) == BitMatrix.identity(k)
+
+
+@st.composite
+def dependent_lists(draw):
+    """Vectors of width up to 12 in which some entries are zero, repeats or
+    sums of earlier ones."""
+    n = draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    vectors = []
+    for kind in draw(st.lists(st.sampled_from(["new", "zero", "repeat", "sum"]), max_size=16)):
+        if kind == "new" or not vectors:
+            vectors.append(rng.getrandbits(n))
+        elif kind == "zero":
+            vectors.append(0)
+        else:
+            picks = rng.sample(vectors, min(len(vectors), 1 if kind == "repeat" else 3))
+            vectors.append(reduce(xor, picks))
+    return n, vectors
+
+
+@given(dependent_lists(), st.lists(st.integers(0, 2**12 - 1), max_size=6))
+def test_express_masks_stay_on_pivots(case, targets):
+    n, vectors = case
+    e = Echelon(vectors)
+    grown = Echelon()
+    assert [grown.insert(v) for v in vectors] == [i in e.pivots for i in range(len(vectors))]
+    assert grown.pivots == e.pivots
+    on_pivots = sum(1 << i for i in e.pivots)
+    # every input, and every sum of inputs, is expressed over pivots alone
+    for v in vectors + [reduce(xor, vectors[:i], 0) for i in range(len(vectors))]:
+        comb = e.express(v)
+        assert comb is not None and comb & ~on_pivots == 0 and comb == grown.express(v)
+        assert reduce(xor, (vectors[i] for i in e.pivots if comb >> i & 1), 0) == v
+    for v in targets:
+        v &= (1 << n) - 1
+        assert (e.express(v) is None) == (e.reduce(v) != 0)

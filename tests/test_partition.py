@@ -223,16 +223,20 @@ def test_qc_243_9_partition_pinned(qc_243_9):
 
 
 OPTIMIZED_RECHECK = """
-import tcis.codes, tcis.partition
+import tcis.codes, tcis.partition, tcis.z4
 from tcis.codes import LinearCode
 from tcis.gf2 import BitMatrix, CertificateError
+from tcis.z4 import Z4Matrix
 
 if __debug__:
     raise SystemExit("assertions are still on")
 tcis.partition.invert = tcis.codes.invert = lambda m: None
+# the identity is a wrong residue inverse of [[1, 1], [1, 0]]
+tcis.z4.invert = lambda m: BitMatrix.identity(m.nrows)
 code = LinearCode(BitMatrix.identity(2).hstack(BitMatrix.identity(2)))
 for check in (lambda: tcis.partition.t_cis_partition(code, 2),
-              lambda: tcis.codes.systematic_form(code)):
+              lambda: tcis.codes.systematic_form(code),
+              lambda: tcis.z4.z4_invert(Z4Matrix([[1, 1], [1, 0]]))):
     try:
         check()
     except CertificateError:
@@ -241,15 +245,15 @@ for check in (lambda: tcis.partition.t_cis_partition(code, 2),
 
 
 def test_certificate_rechecks_survive_python_O():
-    # with every inversion failing, the re-verification must still fire
-    # when python -O strips assert statements
+    # with every inversion failing or wrong, the re-verification must still
+    # fire when python -O strips assert statements
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_RECHECK],
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     ).stdout
-    assert out.split() == ["CertificateError", "CertificateError"]
+    assert out.split() == ["CertificateError"] * 3
 
 
 def codeword_rank(c: LinearCode, s) -> int:

@@ -1,6 +1,10 @@
 import random
+from itertools import permutations
+from math import prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tcis.boolfun import t_ci_strength
 from tcis.codes import dual_distance, min_distance
@@ -143,3 +147,31 @@ def test_derive_needs_systematic_form(octacode):
     shuffled = Z4Code(octacode.gen.take_columns(perm))
     with pytest.raises(ValueError):
         z4_derive_bijections(shuffled, 2)
+
+
+def leibniz_det(rows) -> int:
+    """Integer determinant by the permutation expansion."""
+    k = len(rows)
+    total = 0
+    for perm in permutations(range(k)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        total += sign * prod(rows[i][perm[i]] for i in range(k))
+    return total
+
+
+@st.composite
+def z4_square_rows(draw):
+    # odd-entry matrices with k >= 2 have an even determinant
+    k = draw(st.integers(1, 6))
+    entry = st.sampled_from([1, 3]) if draw(st.booleans()) else st.integers(0, 3)
+    return [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(k)]
+
+
+@given(z4_square_rows())
+def test_z4_invert_against_determinant(rows):
+    k = len(rows)
+    m = Z4Matrix(rows)
+    mi = z4_invert(m)
+    assert (mi is None) == (leibniz_det(rows) % 2 == 0) == (rank(m.residue()) < k)
+    if mi is not None:
+        assert m.mul(mi) == mi.mul(m) == Z4Matrix.identity(k)
