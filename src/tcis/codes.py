@@ -283,23 +283,21 @@ def weight_distribution(c: LinearCode, cap: int = MIN_DISTANCE_CAP) -> list[int]
     return counts
 
 
-def distance_enumerator(c, distance_invariant: bool | None = None) -> DistanceEnumerator:
+def distance_enumerator(c) -> DistanceEnumerator:
     """Exact ordered-pair distance counts.
 
-    With the distance-invariant hint the counts are |C| times the weight
-    distribution of the code translated through any fixed word, which takes
-    one weight pass; without it all pairs are compared.  The hint defaults
-    to the code's own flag (always true for linear codes).  The size cap is
-    checked before any codeword is listed.
+    For a distance-invariant code (a linear code, or an unrestricted code
+    flagged so) the counts are |C| times the weight distribution of the code
+    translated through any fixed word, which takes one weight pass;
+    otherwise all pairs are compared.  The size cap is checked before any
+    codeword is listed.
     """
     if isinstance(c, UnrestrictedCode):
-        m, invariant = c.size, c.distance_invariant
+        m, distance_invariant = c.size, c.distance_invariant
     elif isinstance(c, (LinearCode, ZeroCode)):
-        m, invariant = 1 << c.k, True
+        m, distance_invariant = 1 << c.k, True
     else:
         raise TypeError(f"not a code: {c!r}")
-    if distance_invariant is None:
-        distance_invariant = invariant
     cap = TRANSLATE_SIZE_CAP if distance_invariant else PAIRWISE_SIZE_CAP
     if m > cap:
         raise Infeasible(f"code size {m} exceeds cap {cap}")
@@ -318,7 +316,7 @@ def distance_enumerator(c, distance_invariant: bool | None = None) -> DistanceEn
     return DistanceEnumerator(c.n, m, tuple(counts))
 
 
-def dual_distance(c, distance_invariant: bool | None = None) -> int | float:
+def dual_distance(c) -> int | float:
     """Smallest i > 0 with nonzero dual-side enumerator coefficient.
 
     For a linear code this is the minimum distance of the dual code.  When
@@ -328,7 +326,7 @@ def dual_distance(c, distance_invariant: bool | None = None) -> int | float:
     if isinstance(c, DistanceEnumerator):
         de = c
     else:
-        de = distance_enumerator(c, distance_invariant)
+        de = distance_enumerator(c)
     n = de.n
     support = [j for j in range(n + 1) if de.counts[j]]
     counts = [de.counts[j] for j in support]

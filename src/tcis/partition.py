@@ -8,8 +8,9 @@ pieces, impossible once |S| > t * rank(S).
 
 The walk is matroid partitioning by augmenting exchange chains (Edmonds,
 "Minimum partition of a matroid into independent subsets", 1965; Knuth,
-"Matroid partitioning", 1973).  Its span chain asks for the closures of
-the same column sets again and again across chain steps and swaps, so each
+"Matroid partitioning", 1973).  It holds every column set as an int bit
+mask, bit j for column j.  Its span chain asks for the closures of the
+same column sets again and again across chain steps and swaps, so each
 walk computes the closure of each distinct set once and keeps it until
 the walk returns.
 """
@@ -18,41 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import LinearCode
-from .gf2 import BitMatrix, CertificateError, Echelon, Infeasible, invert
+from .gf2 import CertificateError, Echelon, Infeasible, invert
 
 __all__ = [
-    "ColumnMatroid",
     "Partition",
     "Violation",
     "t_cis_partition",
-    "span_closure",
     "exhaustive_partition_oracle",
     "EXHAUSTIVE_N_CAP",
 ]
 
 EXHAUSTIVE_N_CAP = 18
-
-
-class ColumnMatroid:
-    """Rank and span queries over the columns of a generator matrix."""
-
-    __slots__ = ("ncols", "cols")
-
-    def __init__(self, m: BitMatrix):
-        self.ncols = m.ncols
-        self.cols = m.columns()
-
-    def rank_of(self, idx) -> int:
-        return Echelon(self.cols[j] for j in idx).rank
-
-
-def span_closure(m: ColumnMatroid, s) -> frozenset[int]:
-    """All column indices lying in the column space spanned by s.
-
-    The empty set spans only zero, so its closure is the zero columns.
-    Closure is idempotent and always contains s.
-    """
-    return frozenset(Echelon([m.cols[j] for j in s]).spanned(m.cols))
 
 
 @dataclass(frozen=True)
@@ -89,6 +66,16 @@ def _check_partition(c: LinearCode, t: int, sets) -> None:
         raise CertificateError(f"sets cover {len(seen)} of {c.n} columns")
 
 
+def _members(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
     """Split the n = t*k columns into t information sets, or certify failure.
 
@@ -105,23 +92,28 @@ def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
     if c.n != t * c.k:
         raise ValueError(f"length {c.n} is not t*k = {t}*{c.k}")
     n, k = c.n, c.k
-    matroid = ColumnMatroid(c.gen)
-    cols = matroid.cols
-    sets: list[set[int]] = [set() for _ in range(t)]
-    assigned: set[int] = set()
-    everything = frozenset(range(n))
+    cols = c.gen.columns()
+    sets = [0] * t
+    assigned = 0
+    everything = (1 << n) - 1
     # the matroid is fixed, so a closure, once computed, holds for the
     # whole walk; the same intersections recur across chain steps and swaps
-    closures: dict[frozenset[int], frozenset[int]] = {}
+    closures: dict[int, int] = {}
 
-    def violation(s: frozenset[int], r: int) -> Violation:
-        v = Violation(tuple(sorted(s)), r, t)
-        if matroid.rank_of(v.columns) != r or len(s) <= t * r:
-            raise CertificateError(f"{len(s)} columns of rank {r} are no violation")
+    def closure(s: int) -> int:
+        # the empty set spans only zero, so its closure is the zero columns
+        hits = Echelon(cols[j] for j in _members(s)).spanned(cols)
+        return sum(1 << j for j in hits)
+
+    def violation(s: int, r: int) -> Violation:
+        v = Violation(tuple(_members(s)), r, t)
+        size = len(v.columns)
+        if Echelon(cols[j] for j in v.columns).rank != r or size <= t * r:
+            raise CertificateError(f"{size} columns of rank {r} are no violation")
         return v
 
-    while len(assigned) < n:
-        x = min(everything - assigned)
+    while assigned != everything:
+        x = (~assigned & (assigned + 1)).bit_length() - 1
         placed = False
         for _ in range(n * k):  # swaps per insertion; cycling would be a bug
             # Walk the span chain S_0 = all, S_j = closure(I_idx ∩ S_{j-1}).
@@ -135,39 +127,36 @@ def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
                 inter = prev & sets[idx]
                 cur = closures.get(inter)
                 if cur is None:
-                    cur = closures[inter] = span_closure(matroid, inter)
-                cur_rank = len(inter)  # inter is independent, hence a basis
-                if len(cur) > t * cur_rank:
+                    cur = closures[inter] = closure(inter)
+                cur_rank = inter.bit_count()  # inter is independent, hence a basis
+                if cur.bit_count() > t * cur_rank:
                     return violation(cur, cur_rank)
-                if x not in cur:
+                if not (cur >> x) & 1:
                     # x extends sets[idx] or closes a circuit with the basis
                     # columns named by comb; outside span(inter) it can only
                     # do the latter when inter is not all of sets[idx]
-                    basis = list(sets[idx])
+                    basis = _members(sets[idx])
                     comb = None
-                    if len(inter) < len(basis):
-                        comb = Echelon([cols[i] for i in basis]).express(cols[x])
+                    if inter != sets[idx]:
+                        comb = Echelon(cols[i] for i in basis).express(cols[x])
                     if comb is None:
-                        sets[idx].add(x)
-                        assigned.add(x)
+                        sets[idx] |= 1 << x
+                        assigned |= 1 << x
                         placed = True
                     else:
                         # bump the smallest circuit column outside the
                         # previous span and re-run the walk for that column
-                        circuit = {
-                            basis[i] for i in range(len(basis)) if (comb >> i) & 1
-                        }
-                        cand = sorted(circuit - prev)
+                        circuit = sum(1 << basis[i] for i in _members(comb))
+                        cand = circuit & ~prev
                         if not cand:
                             raise RuntimeError(
                                 "exchange walk found no swappable circuit "
                                 "column; this contradicts the walk invariant"
                             )
-                        y = cand[0]
-                        sets[idx].remove(y)
-                        sets[idx].add(x)
-                        assigned.add(x)
-                        assigned.discard(y)
+                        y = (cand & -cand).bit_length() - 1
+                        swap = (1 << x) | (1 << y)
+                        sets[idx] ^= swap
+                        assigned ^= swap
                         x = y
                     break
                 stable = stable + 1 if cur == prev else 0
@@ -181,7 +170,7 @@ def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
                 break
         else:
             raise RuntimeError("exchange walk exceeded its swap guard")
-    result = Partition(tuple(tuple(sorted(s)) for s in sets))
+    result = Partition(tuple(tuple(_members(s)) for s in sets))
     _check_partition(c, t, result.sets)
     return result
 

@@ -8,6 +8,7 @@ one-pass weight route.
 """
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -81,15 +82,10 @@ class Z4Matrix:
     def mul(self, other: "Z4Matrix") -> "Z4Matrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions disagree")
-        out = []
-        for r in self.rows:
-            out.append(
-                [
-                    sum(r[i] * other.rows[i][j] for i in range(self.ncols)) % 4
-                    for j in range(other.ncols)
-                ]
-            )
-        return Z4Matrix(out)
+        cols = tuple(zip(*other.rows))
+        return Z4Matrix(
+            [[sum(map(operator.mul, r, col)) % 4 for col in cols] for r in self.rows]
+        )
 
     def vec_mul(self, u: Sequence[int]) -> tuple[int, ...]:
         """Row vector times matrix, mod 4."""
@@ -185,14 +181,16 @@ def ungray_word(w: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _codeword_symbol_arrays(c: Z4Code):
-    # yields (chunk_count, symbols) with symbols shaped (chunk, n), int64
-    total = 4**c.k
+def _codeword_symbol_arrays(gen: Z4Matrix):
+    # yields the codewords u.gen of all messages u, message index
+    # sum(u_i 4^i) ascending, in int64 chunks shaped (chunk, ncols)
+    k = gen.nrows
+    total = 4**k
     if total > GRAY_SIZE_CAP:
-        raise Infeasible(f"4^{c.k} messages exceed cap {GRAY_SIZE_CAP}")
-    g = np.array(c.gen.rows, dtype=np.int64)
+        raise Infeasible(f"4^{k} messages exceed cap {GRAY_SIZE_CAP}")
+    g = np.array(gen.rows, dtype=np.int64)
     chunk = min(total, 1 << 16)
-    radix = 4 ** np.arange(c.k, dtype=np.int64)
+    radix = 4 ** np.arange(k, dtype=np.int64)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = (idx[:, None] // radix[None, :]) % 4
@@ -216,10 +214,15 @@ def _pack_gray(symbols: np.ndarray) -> list[int]:
     return out
 
 
+def _gray_words(gen: Z4Matrix) -> np.ndarray:
+    # Gray images of all codewords in message order; 2 * ncols <= 62 bits
+    return np.concatenate([_pack_gray(s) for s in _codeword_symbol_arrays(gen)])
+
+
 def gray_image(c: Z4Code) -> UnrestrictedCode:
     """Binary image of the code; size 4^k exactly when the code is free."""
     words: set[int] = set()
-    for symbols in _codeword_symbol_arrays(c):
+    for symbols in _codeword_symbol_arrays(c.gen):
         words.update(_pack_gray(symbols))
     return UnrestrictedCode(2 * c.n, words, distance_invariant=True)
 
@@ -227,7 +230,7 @@ def gray_image(c: Z4Code) -> UnrestrictedCode:
 def lee_min_distance(c: Z4Code) -> int:
     """Least positive Lee weight, via Hamming weight of the Gray image."""
     best = None
-    for symbols in _codeword_symbol_arrays(c):
+    for symbols in _codeword_symbol_arrays(c.gen):
         for w in _pack_gray(symbols):
             if w:
                 wt = w.bit_count()
@@ -269,16 +272,16 @@ def z4_derive_bijections(c: Z4Code, t: int):
         raise ValueError("unsupported: code is not free")
     if c.gen.take_columns(range(k)) != Z4Matrix.identity(k):
         raise ValueError("generator is not in systematic (I | M...) form")
-    if 4**k > GRAY_SIZE_CAP:
-        raise Infeasible(f"4^{k} inputs exceed cap {GRAY_SIZE_CAP}")
+    # the inputs x are the Gray images of all messages u, and x maps to
+    # the Gray image of u . M^-1, with u in the same order on both sides
+    inputs = _gray_words(Z4Matrix.identity(k))
     out = []
     for b in range(1, t):
         block = c.gen.take_columns(range(b * k, (b + 1) * k))
         minv = z4_invert(block.transpose())
         if minv is None:
             raise ValueError("inconsistent partition: block is singular over Z4")
-        table = [
-            gray_word(minv.vec_mul(ungray_word(x, k))) for x in range(1 << (2 * k))
-        ]
-        out.append(BooleanPermutation(2 * k, table))
+        table = np.empty_like(inputs)
+        table[inputs] = _gray_words(minv)
+        out.append(BooleanPermutation(2 * k, table.tolist()))
     return out

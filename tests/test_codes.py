@@ -265,7 +265,7 @@ def test_enumerator_cap_before_listing(monkeypatch, rng):
     with pytest.raises(Infeasible, match="exceeds cap"):
         dual_distance(random_code(rng, 48, 21))
     with pytest.raises(Infeasible, match="exceeds cap"):
-        distance_enumerator(random_code(rng, 20, 17), distance_invariant=False)
+        distance_enumerator(UnrestrictedCode(20, range(1 << 17)))
 
 
 def test_macwilliams_exact(rng):

@@ -1,5 +1,8 @@
 import ast
+import importlib
 from pathlib import Path
+
+import tcis
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tcis"
 
@@ -18,3 +21,19 @@ def test_no_function_level_imports():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert found == []
+
+
+def test_all_exports_resolve():
+    # a removed name must not linger in any __all__
+    modules = [tcis] + [
+        importlib.import_module(f"tcis.{path.stem}")
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    ]
+    missing = [
+        f"{m.__name__}.{name}"
+        for m in modules
+        for name in getattr(m, "__all__", ())
+        if not hasattr(m, name)
+    ]
+    assert missing == []

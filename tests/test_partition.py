@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -14,42 +13,11 @@ from conftest import planted_code, random_code, scrambled_cis_code, systematic_c
 from tcis.codes import LinearCode
 from tcis.gf2 import BitMatrix, rank
 from tcis.partition import (
-    ColumnMatroid,
     Partition,
     Violation,
     exhaustive_partition_oracle,
-    span_closure,
     t_cis_partition,
 )
-
-
-def brute_rank(c: LinearCode, s) -> int:
-    if not s:
-        return 0
-    return rank(c.gen.take_columns(sorted(s)))
-
-
-def brute_span_closure(c: LinearCode, s):
-    base_rank = brute_rank(c, s)
-    return {j for j in range(c.n) if brute_rank(c, set(s) | {j}) == base_rank}
-
-
-def test_span_closure_matches_brute(rng):
-    for _ in range(25):
-        n = rng.randrange(3, 9)
-        k = rng.randrange(1, n)
-        c = random_code(rng, n, k)
-        m = ColumnMatroid(c.gen)
-        s = set(rng.sample(range(n), rng.randrange(0, n)))
-        assert span_closure(m, s) == brute_span_closure(c, s)
-
-
-def test_column_matroid(rng):
-    c = random_code(rng, 7, 3)
-    m = ColumnMatroid(c.gen)
-    for _ in range(20):
-        s = rng.sample(range(7), rng.randrange(0, 5))
-        assert m.rank_of(s) == brute_rank(c, s)
 
 
 def _assert_valid_partition(c: LinearCode, t: int, p: Partition):
@@ -189,12 +157,28 @@ def partition_outcomes(seed):
             for make in (random_code, planted_code, scrambled_cis_code):
                 for _ in range(3):
                     c = make(rng, t * k, k) if make is random_code else make(rng, k, t)
-                    res = t_cis_partition(c, t)
-                    if res.is_partition:
-                        out.append(("P", res.sets))
-                    else:
-                        out.append(("V", res.columns, res.rank))
+                    out.append(_certificate(t_cis_partition(c, t)))
     return out
+
+
+def _certificate(res):
+    return ("P", res.sets) if res.is_partition else ("V", res.columns, res.rank)
+
+
+# (t, k) with 66 <= t*k <= 198
+LARGE_SHAPES = [(2, 33), (3, 24), (4, 20), (6, 14), (9, 10), (2, 50), (5, 24),
+                (3, 48), (12, 13), (4, 45), (25, 8), (3, 66)]
+
+
+def large_partition_outcomes(seed):
+    """Walk outcomes on seeded planted violations and scrambled CIS codes
+    of length 66 to 198."""
+    rng = random.Random(seed)
+    return [
+        _certificate(t_cis_partition(make(rng, k, t), t))
+        for t, k in LARGE_SHAPES
+        for make in (planted_code, planted_code, scrambled_cis_code)
+    ]
 
 
 def _digest(obj) -> str:
@@ -206,6 +190,10 @@ def _digest(obj) -> str:
 # the violation columns are all pinned.
 PARTITION_DIGEST = "890ad95d86d25be75aa3126b41e4e5001ead43782d9ea21faa806b3f656e62fb"
 QC_243_9_DIGEST = "fd7ea8e541410deaa0e99067c128712e086102437d5f5da34c0df510e038edcb"
+# Recorded before the walk's column sets became bit masks: certificates of
+# large_partition_outcomes(0x1A96E), and the sets of the slow paper sweep.
+LARGE_PARTITION_DIGEST = "928fe711557538a659e9fea856cb4d1fabeaefbe7a62a2f40c78c802e6106954"
+SWEEP_DIGEST = "6a5bb39fb5584ecbb7b809e03d79e8c7e9c12af4ef39a610dfb8eee1a6ba65f2"
 
 
 def test_partition_outcomes_pinned():
@@ -213,6 +201,14 @@ def test_partition_outcomes_pinned():
     kinds = [o[0] for o in outcomes]
     assert kinds.count("P") > 50 and kinds.count("V") > 50
     assert _digest(outcomes) == PARTITION_DIGEST
+
+
+def test_large_partition_outcomes_pinned():
+    outcomes = large_partition_outcomes(0x1A96E)
+    kinds = [o[0] for o in outcomes]
+    assert kinds.count("P") == len(LARGE_SHAPES)
+    assert sum(o[0] == "V" and o[2] > 0 for o in outcomes) >= 8
+    assert _digest(outcomes) == LARGE_PARTITION_DIGEST
 
 
 def test_qc_243_9_partition_pinned(qc_243_9):
@@ -305,15 +301,17 @@ def test_paper_sweep_scale():
     This reproduces the paper's scale, not its code table: the paper walks
     the best-known [tk, k] codes, whose tables are not bundled, so its
     (t = 3, k = 44) and (t = 4, k = 37) exceptions stay untested here.
-    Every walk must return a re-verified partition.
+    Every walk must return a re-verified partition, and the sets are
+    pinned by SWEEP_DIGEST.
     """
     rng = random.Random(0x5EE9)
-    walked = 0
+    sets = []
     for t in range(3, 257):
         for k in range(1, 256 // t + 1):
             c = scrambled_cis_code(rng, k, t)
             p = t_cis_partition(c, t)
             assert isinstance(p, Partition), (t, k)
             _assert_valid_partition(c, t, p)
-            walked += 1
-    assert walked == 1082
+            sets.append(p.sets)
+    assert len(sets) == 1082
+    assert _digest(sets) == SWEEP_DIGEST

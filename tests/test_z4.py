@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 from math import prod
@@ -97,6 +98,27 @@ def test_octacode_partition_and_derive(octacode):
     (f,) = z4_derive_bijections(octacode, 2)
     assert f.k == 8
     assert t_ci_strength([f]) == 5
+
+
+# SHA-256 of the bijection tables, recorded while each entry was computed
+# one input at a time as gray(ungray(x) . (M^T)^-1)
+Z4_TABLE_DIGESTS = {
+    "octacode": "8fabe548fc3f051b7907d5266bd97c1c2ca67766429da8bf27a9dd99dcdd6cd2",
+    "z4_24_6": "dcec8f3d1e0bccfefe0a6e5a5db372174a83cc217a434b3e955d221d46289c1e",
+}
+
+
+def test_z4_derive_tables_pinned(octacode, z4_24_6, rng):
+    for name, c, t in (("octacode", octacode, 2), ("z4_24_6", z4_24_6, 4)):
+        fs = z4_derive_bijections(c, t)
+        digest = hashlib.sha256(repr([f.table for f in fs]).encode()).hexdigest()
+        assert digest == Z4_TABLE_DIGESTS[name]
+        k = c.k
+        for b, f in enumerate(fs, start=1):
+            block = c.gen.take_columns(range(b * k, (b + 1) * k))
+            minv = z4_invert(block.transpose())
+            for x in rng.sample(range(1 << (2 * k)), 64):
+                assert f.table[x] == gray_word(minv.vec_mul(ungray_word(x, k)))
 
 
 def test_z4_24_6(z4_24_6):
