@@ -254,18 +254,6 @@ class Echelon:
     def rank(self) -> int:
         return len(self._rows)
 
-    def spanned(self, vectors: Iterable[int]) -> list[int]:
-        """Positions of the vectors that lie in the span, in one call."""
-        # reduce inlined: one method call per vector would cost small walks
-        rows = self._rows
-        hits = []
-        for j, v in enumerate(vectors):
-            while v and (r := rows.get(v.bit_length() - 1)) is not None:
-                v ^= r
-            if not v:
-                hits.append(j)
-        return hits
-
 
 def rank(m: BitMatrix) -> int:
     return Echelon(m.rows).rank

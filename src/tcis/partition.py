@@ -9,10 +9,15 @@ pieces, impossible once |S| > t * rank(S).
 The walk is matroid partitioning by augmenting exchange chains (Edmonds,
 "Minimum partition of a matroid into independent subsets", 1965; Knuth,
 "Matroid partitioning", 1973).  It holds every column set as an int bit
-mask, bit j for column j.  Its span chain asks for the closures of the
-same column sets again and again across chain steps and swaps, so each
-walk computes the closure of each distinct set once and keeps it until
-the walk returns.
+mask, bit j for column j, and keeps every closure it computes, since its
+span chain asks for the same ones again and again.
+
+Column j lies in the span of the columns S iff every codeword that vanishes
+on S vanishes at j too, so the closure of S is where the residual rows of
+S, a basis of that subcode, are all zero; the residual rows of the empty
+set are the rows of G.  Almost every set the walk closes is one it closed
+before plus a column j, which costs one elimination step: the first
+residual row with bit j is added to every other row with bit j and dropped.
 """
 from __future__ import annotations
 
@@ -76,6 +81,14 @@ def _members(mask: int) -> list[int]:
     return out
 
 
+def _eliminate(rows: list[int], j: int) -> list[int]:
+    """One elimination step: the residual rows that also vanish at column j."""
+    for i, p in enumerate(rows):
+        if p >> j & 1:
+            return rows[:i] + [r ^ p if r >> j & 1 else r for r in rows[i + 1:]]
+    return rows
+
+
 def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
     """Split the n = t*k columns into t information sets, or certify failure.
 
@@ -99,11 +112,28 @@ def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
     # the matroid is fixed, so a closure, once computed, holds for the
     # whole walk; the same intersections recur across chain steps and swaps
     closures: dict[int, int] = {}
+    resid: dict[int, list[int]] = {0: list(c.gen.rows)}
 
     def closure(s: int) -> int:
-        # the empty set spans only zero, so its closure is the zero columns
-        hits = Echelon(cols[j] for j in _members(s)).spanned(cols)
-        return sum(1 << j for j in hits)
+        # one step from a cached set with one column fewer, else from G;
+        # highest column first, as the walk places columns in ascending order
+        rest = s
+        while rest:
+            j = rest.bit_length() - 1
+            rows = resid.get(s ^ (1 << j))
+            if rows is not None:
+                rows = _eliminate(rows, j)
+                break
+            rest ^= 1 << j
+        else:
+            rows = resid[0]
+            for j in _members(s):
+                rows = _eliminate(rows, j)
+        resid[s] = rows
+        support = 0
+        for r in rows:
+            support |= r
+        return everything & ~support
 
     def violation(s: int, r: int) -> Violation:
         v = Violation(tuple(_members(s)), r, t)

@@ -193,7 +193,7 @@ def test_echelon_matches_brute_span(case):
         i for i, v in enumerate(vectors) if v not in brute_span(vectors[:i])
     ]
     targets = range(1 << n)
-    assert e.spanned(targets) == sorted(span)
+    assert [v for v in targets if v in e] == sorted(span)
     for v in targets:
         comb = e.express(v)
         assert (v in e) == (v in span) == (comb is not None) == (e.reduce(v) == 0)

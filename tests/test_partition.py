@@ -9,12 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import planted_code, random_code, scrambled_cis_code, systematic_cis_code
+from conftest import (
+    planted_code,
+    random_code,
+    random_invertible,
+    scrambled_cis_code,
+    systematic_cis_code,
+)
 from tcis.codes import LinearCode
 from tcis.gf2 import BitMatrix, rank
 from tcis.partition import (
     Partition,
     Violation,
+    _eliminate,
     exhaustive_partition_oracle,
     t_cis_partition,
 )
@@ -291,6 +298,47 @@ def test_walk_matches_oracle(shape, make, seed):
     if isinstance(got, Violation):
         assert codeword_rank(c, got.columns) == got.rank
         assert len(got.columns) > t * got.rank
+
+
+def _closure(rows: list[int], n: int) -> list[int]:
+    support = 0
+    for r in rows:
+        support |= r
+    return [j for j in range(n) if not support >> j & 1]
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 2**64))
+def test_residual_closures_match_rank(seed):
+    """Closures from residual rows, built one column at a time in random
+    orders as the walk builds them from cached one-smaller sets, and from
+    scratch in ascending order, against codeword counting.  Codes have n <= 12
+    and k <= 6, with zero and repeated columns."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    k = rng.randint(1, min(n, 6))
+    cols = [1 << i for i in range(k)]
+    for _ in range(n - k):
+        cols.append(rng.choice([0, rng.choice(cols), rng.randrange(1 << k)]))
+    rng.shuffle(cols)
+    c = LinearCode(random_invertible(rng, k).mul(BitMatrix(cols, k).transpose()))
+
+    def check(rows, s):
+        fresh = list(c.gen.rows)
+        for j in sorted(s):
+            fresh = _eliminate(fresh, j)
+        r = codeword_rank(c, s)
+        assert len(rows) == len(fresh) == k - r
+        want = [x for x in range(n) if codeword_rank(c, {*s, x}) == r]
+        assert _closure(rows, n) == _closure(fresh, n) == want
+
+    check(list(c.gen.rows), [])
+    for _ in range(4):
+        rows, s = list(c.gen.rows), []
+        for j in rng.sample(range(n), rng.randint(1, n)):
+            rows = _eliminate(rows, j)
+            s.append(j)
+            check(rows, s)
 
 
 @pytest.mark.slow
