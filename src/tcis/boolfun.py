@@ -2,8 +2,11 @@
 
 A permutation of F_2^k is a lookup table; linear permutations carry their
 matrix alongside.  The Walsh table W(a, b) = sum_x (-1)^(a.x + b.F(x)) is
-H.G_F.H, where G_F is the 0/1 graph matrix of F (G_F[x, F(x)] = 1) and H
-the Sylvester-Hadamard matrix: two fast transforms, exact in int16.
+H.S, where H is the Sylvester-Hadamard matrix and S the sign matrix
+S[x, b] = (-1)^(F(x).b), whose row x is row F(x) of H: one fast transform,
+exact in int16.  Arrays larger than a cache-sized chunk are transformed
+blockwise, H_n = H_hi (x) H_lo: the low stages inside chunks of whole
+rows, the high stages inside column slabs, so every stage runs in cache.
 
 The correlation-immunity strength of a function tuple is read off the
 spectra: a triple (a, b, c) with all Walsh values nonzero defeats masking
@@ -49,6 +52,10 @@ CIP_K_CAP = 10
 TUPLE_T_CAP = 4
 MASKING_BITS_CAP = 20
 
+# _fwht splits arrays above this many bytes into row chunks and column
+# slabs of at most this size, so that each piece stays in L2 cache.
+_FWHT_CHUNK = 1 << 20
+
 
 class BooleanPermutation:
     """A bijection of F_2^k held as a table, with an optional matrix.
@@ -69,9 +76,8 @@ class BooleanPermutation:
         if matrix is not None:
             if matrix.nrows != k or matrix.ncols != k:
                 raise ValueError("matrix shape disagrees with k")
-            for x in range(1 << k):
-                if matrix.vec_mul(x) != table[x]:
-                    raise ValueError("matrix does not reproduce the table")
+            if _linear_table(matrix) != list(table):
+                raise ValueError("matrix does not reproduce the table")
         self.k = k
         self.table = table
         self.matrix = matrix
@@ -86,8 +92,7 @@ class BooleanPermutation:
             raise ValueError("matrix must be square")
         if invert(m) is None:
             raise ValueError("matrix is singular")
-        k = m.nrows
-        return cls(k, [m.vec_mul(x) for x in range(1 << k)], m)
+        return cls(m.nrows, _linear_table(m), m)
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -111,6 +116,15 @@ class BooleanPermutation:
         return f"BooleanPermutation(k={self.k})"
 
 
+def _linear_table(m: BitMatrix) -> list[int]:
+    # x.M for every x by XOR doubling: the entries with bit i set are the
+    # first 2^i entries XOR row i
+    tab = [0]
+    for r in m.rows:
+        tab += [v ^ r for v in tab]
+    return tab
+
+
 @dataclass(frozen=True)
 class WalshTable:
     """All 4^k Walsh values of one permutation, values[a, b] exact."""
@@ -125,10 +139,24 @@ class WalshTable:
 def _fwht(a: np.ndarray) -> np.ndarray:
     """Unnormalised Walsh-Hadamard transform along axis 0, in place.
 
-    ``a`` must be C-contiguous with a power-of-two first axis; each stage
-    views it as (blocks, 2, h, rest) and combines the two halves at once.
+    The first axis must be a power of two, and ``a`` must reshape to
+    (blocks, 2, h, rest) as a view: C-contiguous, or a column slab of a
+    C-contiguous 2-D array.  Each stage combines the two halves at once.
+    Above _FWHT_CHUNK bytes, H_n = H_hi (x) H_lo: the low transform runs
+    on chunks of lo rows and the high one on column slabs of the
+    (n/lo, lo*rest) view, each piece within one chunk.
     """
     n = a.shape[0]
+    if a.nbytes > _FWHT_CHUNK and n > 2:
+        # the most rows that fit in one chunk, a power of two below n
+        lo = 1 << (max(2, _FWHT_CHUNK * n // a.nbytes).bit_length() - 1)
+        for i in range(0, n, lo):
+            _fwht(a[i : i + lo])
+        v = a.reshape(n // lo, -1)
+        width = max(1, _FWHT_CHUNK // (v.shape[0] * v.itemsize))
+        for j in range(0, v.shape[1], width):
+            _fwht(v[:, j : j + width])
+        return a
     h = 1
     while h < n:
         v = a.reshape(n // (2 * h), 2, h, -1)
@@ -140,21 +168,23 @@ def _fwht(a: np.ndarray) -> np.ndarray:
 
 
 def walsh_table(f: BooleanPermutation) -> WalshTable:
-    """Exact Walsh spectrum W = H.G_F.H, values[a, b]."""
+    """Exact Walsh spectrum W = H.S, values[a, b]."""
     if f.k > WALSH_K_CAP:
         raise Infeasible(f"k={f.k} exceeds Walsh cap {WALSH_K_CAP}")
     n = 1 << f.k
     # int16 is exact: every entry, partial sums included, is a signed sum
     # of at most 2^k ones, and 2^k <= 2^WALSH_K_CAP = 4096 < 2^15.
-    g = np.zeros((n, n), dtype=np.int16)  # G_F^T: column x has its 1 in row F(x)
-    g[np.fromiter(f.table, dtype=np.int64, count=n), np.arange(n)] = 1
-    gh = np.ascontiguousarray(_fwht(g).T)  # (H.G_F^T)^T = G_F.H
-    return WalshTable(f.k, _fwht(gh))
+    # S[x, b] = (-1)^(F(x).b), built in place: the parity of F(x) & b.
+    s = np.fromiter(f.table, dtype=np.int16, count=n)[:, None] & np.arange(n, dtype=np.int16)
+    np.bitwise_count(s, out=s)
+    s &= 1
+    s *= -2
+    s += 1
+    return WalshTable(f.k, _fwht(s))
 
 
 def _weights(k: int) -> np.ndarray:
-    n = 1 << k
-    return np.fromiter((v.bit_count() for v in range(n)), dtype=np.int64, count=n)
+    return np.bitwise_count(np.arange(1 << k)).astype(np.int64)
 
 
 def _min_outmask_weights(f: BooleanPermutation) -> np.ndarray:

@@ -375,7 +375,10 @@ def star_fill_zero_columns(c: LinearCode) -> LinearCode:
     zero, since there are only k distinct identity columns to hand out.
     """
     g = c.gen
-    zero_cols = [j for j in range(g.ncols) if g.column(j) == 0]
+    support = 0
+    for r in g.rows:
+        support |= r
+    zero_cols = [j for j in range(g.ncols) if not support >> j & 1]
     if not zero_cols:
         return c
     if len(zero_cols) >= g.nrows:

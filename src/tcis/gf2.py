@@ -114,7 +114,15 @@ class BitMatrix:
         return c
 
     def columns(self) -> list[int]:
-        return [self.column(j) for j in range(self.ncols)]
+        """Every column as by ``column``, in one pass over the set bits."""
+        cols = [0] * self.ncols
+        for i, r in enumerate(self._rows):
+            bit = 1 << i
+            while r:
+                j = r.bit_length() - 1
+                cols[j] |= bit
+                r ^= 1 << j
+        return cols
 
     def to_strings(self) -> list[str]:
         return [vec_to_str(r, self.ncols) for r in self._rows]

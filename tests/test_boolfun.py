@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -52,6 +53,22 @@ def test_from_matrix_row_action(rng):
             assert f(x) == m.vec_mul(x)
     with pytest.raises(ValueError):
         BooleanPermutation.from_matrix(BitMatrix([0b11, 0b11], 2))
+
+
+@given(st.integers(0, 2**32))
+def test_from_matrix_table_matches_vec_mul(seed):
+    rng = random.Random(seed)
+    k = rng.randrange(1, 10)
+    m = random_invertible(rng, k)
+    f = BooleanPermutation.from_matrix(m)
+    assert list(f.table) == [m.vec_mul(x) for x in range(1 << k)]
+    if k > 1:
+        # a bijection one swap away from x.M is rejected with the matrix
+        x, y = rng.sample(range(1 << k), 2)
+        table = list(f.table)
+        table[x], table[y] = table[y], table[x]
+        with pytest.raises(ValueError, match="reproduce"):
+            BooleanPermutation(k, table, m)
 
 
 def test_inverse(rng):
@@ -121,6 +138,112 @@ def test_walsh_k12_affine_int16(rng):
     assert np.count_nonzero(values) == n
     assert (values[a_of_b, b] == n * signs).all()
     assert values.min() == -n and values.max() == n
+
+
+def _spied_fwht(monkeypatch, a):
+    # transform a through _fwht, returning the sizes of the pieces that the
+    # blocked branch hands back to _fwht (none when the plain loop runs)
+    pieces = []
+    fwht = tcis.boolfun._fwht
+
+    def spy(x):
+        pieces.append(x.nbytes)
+        return fwht(x)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tcis.boolfun, "_fwht", spy)
+        out = spy(a)
+    assert out is a
+    return pieces[1:]
+
+
+def _plain_fwht(monkeypatch, a):
+    with monkeypatch.context() as mp:
+        mp.setattr(tcis.boolfun, "_FWHT_CHUNK", 1 << 62)
+        return tcis.boolfun._fwht(a)
+
+
+def _sylvester(n):
+    h = np.ones((1, 1), dtype=np.int64)
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
+
+
+@pytest.mark.parametrize(
+    "shape, chunk",
+    [
+        ((1024, 512), 1 << 20),
+        ((1024, 1024), 1 << 20),
+        ((2048, 384), 1 << 20),
+        ((1 << 19,), 1 << 20),
+        ((1 << 20,), 1 << 20),
+        ((1024, 64), 1 << 14),
+        ((4096, 6), 1 << 10),
+        ((64, 1024), 1 << 10),
+    ],
+)
+def test_fwht_blocked_matches_plain(monkeypatch, shape, chunk):
+    # int16 arrays on both sides of the 1 MiB chunk size, with uneven slabs
+    # at (2048, 384); smaller chunk sizes give many high rows at (4096, 6)
+    # and rows wider than a chunk at (64, 1024)
+    gen = np.random.default_rng(sum(shape))
+    a = gen.integers(-1, 2, size=shape, dtype=np.int16)
+    want = _plain_fwht(monkeypatch, a.copy())
+    monkeypatch.setattr(tcis.boolfun, "_FWHT_CHUNK", chunk)
+    pieces = _spied_fwht(monkeypatch, a)
+    if a.nbytes > chunk:
+        assert sum(pieces) == 2 * a.nbytes
+        if 2 * a.nbytes // shape[0] <= chunk:
+            assert max(pieces) <= chunk
+    else:
+        assert pieces == []
+    assert np.array_equal(a, want)
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_fwht_blocked_object_ints(monkeypatch, n):
+    # Python ints beyond int64 through the blocked branch, forced by a
+    # 512-byte chunk size, against an explicit Sylvester product
+    gen = random.Random(n)
+    ints = np.array([gen.randrange(-(2**70), 2**70) for _ in range(n)], dtype=object)
+    monkeypatch.setattr(tcis.boolfun, "_FWHT_CHUNK", 1 << 9)
+    a = ints.copy()
+    pieces = _spied_fwht(monkeypatch, a)
+    assert (pieces != []) == (a.nbytes > 1 << 9)
+    assert a.tolist() == (_sylvester(n).astype(object) @ ints).tolist()
+
+
+@pytest.mark.parametrize("k", [11, 12])
+def test_walsh_large_random(k):
+    rng = random.Random(0x11C + k)
+    f = random_perm(rng, k)
+    values = walsh_table(f).values
+    n = 1 << k
+    assert values.dtype == np.int16 and values.shape == (n, n)
+    # Parseval along both axes, summed in int64 a row block at a time
+    col_sq = np.zeros(n, dtype=np.int64)
+    for i in range(0, n, 256):
+        sq = np.square(values[i : i + 256].astype(np.int64))
+        assert (sq.sum(axis=1) == 4**k).all()
+        col_sq += sq.sum(axis=0)
+    assert (col_sq == 4**k).all()
+    for _ in range(64):
+        a, b = rng.randrange(n), rng.randrange(n)
+        assert values[a, b] == brute_walsh(f, a, b)
+
+
+def test_walsh_k12_memory():
+    # the sign matrix is built and transformed in place, so the peak stays
+    # near the table's own size
+    f = random_perm(random.Random(0x4D), 12)
+    tracemalloc.start()
+    try:
+        values = walsh_table(f).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * values.nbytes
 
 
 def test_walsh_cap():

@@ -281,3 +281,22 @@ def test_express_masks_stay_on_pivots(case, targets):
     for v in targets:
         v &= (1 << n) - 1
         assert (e.express(v) is None) == (e.reduce(v) != 0)
+
+
+@given(st.integers(0, 2**32))
+def test_columns_match_column(seed):
+    # sparse, dense, zero and full rows, up to 300 columns: the one-pass
+    # columns() must agree with column(j) read one at a time
+    rng = random.Random(seed)
+    n = rng.randrange(1, 301)
+    full = (1 << n) - 1
+    pick = [
+        lambda: rng.getrandbits(n),
+        lambda: rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n),
+        lambda: 1 << rng.randrange(n),
+        lambda: 0,
+        lambda: full,
+    ]
+    m = BitMatrix([rng.choice(pick)() for _ in range(rng.randrange(1, 20))], n)
+    assert m.columns() == [m.column(j) for j in range(n)]
+    assert BitMatrix(m.columns(), m.nrows).columns() == list(m.rows)
