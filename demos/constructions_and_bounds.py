@@ -6,8 +6,8 @@ Three ways to get new CIS codes from old ones or from scratch: the
 quasi-cyclic construction stacks rotated copies of block polynomials,
 the building-up step grows a [tk, k] code to [t(k+1), k+1] while
 keeping every block invertible, and subtraction undoes it.  Bounds and
-a mass-formula count then say how good a code can be and whether an
-equivalence classification accounted for everything.
+the mass formula then say how good a code can be and whether the
+classification accounted for every class.
 """
 
 from importlib import resources
@@ -82,13 +82,16 @@ for k in range(1, 7):
 b = bounds(4, 3)
 print(f"asymptotic GV rate point for t=3: delta = {b.gv_rate_delta:.6f}")
 
-# The mass formula: systematic (I | A | B) codes number |GL(k,2)|^2, and
-# the equivalence classes partition them.  Class sizes must sum back.
+# The mass formula: systematic (I | A | B) codes number |GL(k,2)|^2.  A
+# class C of 3-CIS codes holds p(C) (k!)^3 / |PAut(C)| of them, where p(C)
+# counts the ordered splittings of its columns into information sets, so
+# the sizes of the classified codes add up to |GL(k,2)|^2 only when no
+# class is missing or doubled.
 rep = mass_formula_check(2, 3)
 print(f"\nmass check k=2, t=3: {rep.group_power} systematic codes, "
       f"{len(rep.class_sizes)} classes")
 print("class sizes:", rep.class_sizes)
-print("sizes sum to total:", rep.consistent)
+print("sizes sum to |GL(2,2)|^2:", rep.consistent)
 
 # The bundled [243,9] code has a large minimum distance for its rate;
 # computing it takes a moment but stays well within reach.

@@ -76,7 +76,7 @@ class BooleanPermutation:
         if matrix is not None:
             if matrix.nrows != k or matrix.ncols != k:
                 raise ValueError("matrix shape disagrees with k")
-            if _linear_table(matrix) != list(table):
+            if matrix.vec_mul_table() != list(table):
                 raise ValueError("matrix does not reproduce the table")
         self.k = k
         self.table = table
@@ -92,7 +92,7 @@ class BooleanPermutation:
             raise ValueError("matrix must be square")
         if invert(m) is None:
             raise ValueError("matrix is singular")
-        return cls(m.nrows, _linear_table(m), m)
+        return cls(m.nrows, m.vec_mul_table(), m)
 
     def __call__(self, x: int) -> int:
         return self.table[x]
@@ -114,15 +114,6 @@ class BooleanPermutation:
 
     def __repr__(self) -> str:
         return f"BooleanPermutation(k={self.k})"
-
-
-def _linear_table(m: BitMatrix) -> list[int]:
-    # x.M for every x by XOR doubling: the entries with bit i set are the
-    # first 2^i entries XOR row i
-    tab = [0]
-    for r in m.rows:
-        tab += [v ^ r for v in tab]
-    return tab
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import (chain, combinations, combinations_with_replacement, islice,
                        permutations)
-from math import comb
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "canonical_form",
     "equivalent",
     "enumerate_cat",
+    "cat_classes",
     "ClassTableRow",
     "classify_tcis",
     "class_table_text",
@@ -62,12 +63,14 @@ class CanonicalCode:
 
     form[i] packs codeword i with canonical column 0 as the most
     significant bit; perm[j] is the source column at canonical position j.
+    aut_order is |PAut|, the number of column permutations fixing the code.
     """
 
     n: int
     k: int
     form: tuple[int, ...]
     perm: tuple[int, ...]
+    aut_order: int
 
 
 @cache
@@ -96,7 +99,7 @@ def canonical_form(c: LinearCode) -> CanonicalCode:
     gcol = c.gen.columns()
     sigs = _span_signatures(k)
     best_sig: list = [None] * (n + 1)
-    best_perm: list = [None]  # first leaf under the current best_sig
+    best_perm: list = [None, 0]  # first leaf under the current best_sig, leaves tying it
 
     def improve(level: int, sig: tuple) -> bool:
         # False when sig loses to the best level sequence found so far
@@ -107,7 +110,7 @@ def canonical_form(c: LinearCode) -> CanonicalCode:
             best_sig[level] = sig
             for deeper in range(level + 1, n + 1):
                 best_sig[deeper] = None
-            best_perm[0] = None
+            best_perm[:] = None, 0
         return True
 
     def rec(span: dict, free: list[int], chosen: tuple[int, ...]):
@@ -125,6 +128,7 @@ def canonical_form(c: LinearCode) -> CanonicalCode:
         if not free:
             if best_perm[0] is None:
                 best_perm[0] = chosen
+            best_perm[1] += 1
             return
         if not improve(len(chosen) + 1, (1 << k - r - 1,) * (1 << r)):
             return
@@ -135,10 +139,12 @@ def canonical_form(c: LinearCode) -> CanonicalCode:
             rec(nxt, [f for f in free if f != col], chosen + (col,))
 
     rec({0: 0}, list(range(n)), ())
-    perm = best_perm[0]
+    perm, leaves = best_perm
     # canonical column 0 is the most significant bit of each packed word
-    form = LinearCode(c.gen.take_columns(perm[::-1])).codewords()
-    return CanonicalCode(n, k, tuple(sorted(form)), perm)
+    form = c.gen.take_columns(perm[::-1]).vec_mul_table()
+    # tying leaves are the automorphisms up to swaps of identical columns
+    aut_order = leaves * prod(map(factorial, map(gcol.count, set(gcol))))
+    return CanonicalCode(n, k, tuple(sorted(form)), perm, aut_order)
 
 
 def equivalent(a: LinearCode, b: LinearCode) -> bool:
@@ -259,14 +265,8 @@ class ClassTableRow:
 
 
 def _blocks_code(k: int, blocks) -> LinearCode:
-    rows = []
-    for i in range(k):
-        row = 1 << i
-        for b, basis in enumerate(blocks):
-            for ci, col in enumerate(basis):
-                row |= ((col >> i) & 1) << ((b + 1) * k + ci)
-        rows.append(row)
-    return LinearCode(BitMatrix(rows, (1 + len(blocks)) * k))
+    cols = [1 << i for i in range(k)] + [col for basis in blocks for col in basis]
+    return LinearCode(BitMatrix(cols, k).transpose())
 
 
 def _basis_tables(k: int, bases):
@@ -277,19 +277,12 @@ def _basis_tables(k: int, bases):
     vpairs[b, u, p] the product of appended columns p = (i, i2), i <= i2,
     in upper-triangle order.
     """
-    kk = 1 << k
-    cols = np.array(bases, dtype=np.int64)  # (Nb, k)
-    msgs = np.arange(kk, dtype=np.int64)
-    ands = msgs[None, None, :] & cols[:, :, None]  # (Nb, k, kk)
-    parity = np.zeros_like(ands, dtype=np.uint8)
-    # parity of popcount, one bit position at a time
-    for b in range(k):
-        parity ^= ((ands >> b) & 1).astype(np.uint8)
-    enc = np.zeros((len(bases), kk), dtype=np.int64)
-    for i in range(k):
-        enc |= parity[:, i, :].astype(np.int64) << i
-    bwt = parity.sum(axis=1, dtype=np.uint8)  # (Nb, kk)
-    vbits = np.ascontiguousarray(parity.transpose(0, 2, 1))  # (Nb, kk, k)
+    enc = np.array(
+        [BitMatrix(basis, k).transpose().vec_mul_table() for basis in bases],
+        dtype=np.int64,
+    )
+    vbits = ((enc[:, :, None] >> np.arange(k)) & 1).astype(np.uint8)  # (Nb, kk, k)
+    bwt = vbits.sum(axis=2, dtype=np.uint8)  # (Nb, kk)
     iu, ju = np.triu_indices(k)
     vpairs = vbits[:, :, iu] * vbits[:, :, ju]  # (Nb, kk, k(k+1)/2)
     return enc, bwt, vbits, vpairs
@@ -408,14 +401,28 @@ def _classify_fast_t3(k: int):
     ]
 
 
-def classify_tcis(k: int, t: int = 3, allow_slow: bool = False):
-    """All inequivalent t-CIS codes of length tk, plus the summary row.
+def cat_classes(k: int, t: int) -> list[tuple[CanonicalCode, LinearCode]]:
+    """(canonical form, code) of every class of t-CIS [tk, k] codes, in form order.
 
     One concatenation per Cat class is appended to the identity and the
     results deduplicated by canonical form; the representative of a class
-    is its first Cat class in key order.  k = 5, t = 3, where Cat
-    enumeration is out of reach, runs the two-stage growth of
-    _classify_fast_t3 instead.
+    is its first Cat class in key order.  enumerate_cat's guards apply.
+    """
+    _, cat_reps = enumerate_cat(k, t, allow_slow=True)
+    forms: dict[tuple, tuple[CanonicalCode, LinearCode]] = {}
+    for blocks in cat_reps:
+        code = _blocks_code(k, blocks)
+        cf = canonical_form(code)
+        forms.setdefault(cf.form, (cf, code))
+    return [forms[f] for f in sorted(forms)]
+
+
+def classify_tcis(k: int, t: int = 3, allow_slow: bool = False):
+    """All inequivalent t-CIS codes of length tk, plus the summary row.
+
+    The classes are those of cat_classes, except at k = 5, t = 3, where
+    Cat enumeration is out of reach and the two-stage growth of
+    _classify_fast_t3 runs instead.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -431,12 +438,7 @@ def classify_tcis(k: int, t: int = 3, allow_slow: bool = False):
     if (k, t) == (5, 3):
         reps = _classify_fast_t3(k)
     else:
-        _, cat_reps = enumerate_cat(k, t, allow_slow=True)
-        forms: dict[tuple, LinearCode] = {}
-        for blocks in cat_reps:
-            code = _blocks_code(k, blocks)
-            forms.setdefault(canonical_form(code).form, code)
-        reps = [forms[f] for f in sorted(forms)]
+        reps = [code for _, code in cat_classes(k, t)]
 
     counts: dict[int, list[int]] = {}
     for i, code in enumerate(reps):

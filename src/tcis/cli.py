@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("masscheck", help="orbit-size accounting over systematic codes")
+    p = sub.add_parser("masscheck", help="t-CIS class sizes summing to |GL(k,2)|^(t-1)")
     p.add_argument("k", type=int)
     p.add_argument("t", type=int)
     _add_common(p)

@@ -75,11 +75,7 @@ class LinearCode:
 
     def codewords(self) -> list[int]:
         """All 2^k codewords, indexed by message int."""
-        rows = self.gen.rows
-        out = [0] * (1 << self.k)
-        for m in range(1, 1 << self.k):
-            out[m] = out[m & (m - 1)] ^ rows[(m & -m).bit_length() - 1]
-        return out
+        return self.gen.vec_mul_table()
 
     def encode(self, message: int) -> int:
         return self.gen.vec_mul(message)

@@ -2,16 +2,18 @@
 
 Covers one-generator quasi-cyclic codes from circulant blocks, the
 building-up step from [tk, k] to [t(k+1), k+1], its subtracting inverse,
-the mass-formula completeness check for classifications, and the small
+the mass-formula certificate of the class lists, and the small
 closed-form bounds.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations
 
-from .classify import canonical_form
+import numpy as np
+
+from .classify import CANONICAL_N_CAP, cat_classes
 from .codes import LinearCode
 from .gf2 import (
     BitMatrix,
@@ -35,7 +37,6 @@ __all__ = [
     "MassReport",
     "mass_formula_check",
     "gl2_size",
-    "gl2_matrices",
     "Bounds",
     "bounds",
     "m_count",
@@ -211,19 +212,27 @@ def gl2_size(k: int) -> int:
     return out
 
 
-def gl2_matrices(k: int):
-    """All invertible k x k matrices, as row tuples, in DFS order."""
+def _splittings(c: LinearCode, t: int) -> int:
+    """Ordered splittings of the columns of c into t information sets.
 
-    def grow(rows: tuple[int, ...]):
-        if len(rows) == k:
-            yield rows
-            return
-        span = Echelon(rows)
-        for r in range(1, 1 << k):
-            if r not in span:
-                yield from grow(rows + (r,))
-
-    yield from grow(())
+    ways[S] counts those of the column mask S; each layer of masks grows
+    by every information set disjoint from it."""
+    n, k = c.n, c.k
+    cols = c.gen.columns()
+    info = np.array(
+        [sum(1 << j for j in s) for s in combinations(range(n), k)
+         if Echelon(cols[j] for j in s).rank == k],
+        dtype=np.int64,
+    )
+    ways = np.zeros(1 << n, dtype=np.int64)
+    ways[0] = 1
+    layer = np.zeros(1, dtype=np.int64)
+    for _ in range(t):
+        grown = layer[:, None] | info
+        fits = (layer[:, None] & info) == 0
+        np.add.at(ways, grown[fits], np.broadcast_to(ways[layer, None], grown.shape)[fits])
+        layer = np.unique(grown[fits])
+    return int(ways[-1])
 
 
 @dataclass(frozen=True)
@@ -239,34 +248,35 @@ class MassReport:
 
 
 def mass_formula_check(k: int, t: int) -> MassReport:
-    """Group all systematic (I | A_1 | .. | A_{t-1}) codes by equivalence.
+    """Size every class of t-CIS [tk, k] codes among the systematic ones.
 
-    The orbit sizes within the systematic family must sum to the number
-    of such codes, |GL(k,2)|^(t-1); a mismatch would mean the equivalence
-    relation lost or double-counted a code.
+    Counting pairs (labelled code, ordered splitting into t information
+    sets) two ways, class C holds p(C) (k!)^t / |PAut(C)| of the
+    |GL(k,2)|^(t-1) codes (I | A_1 | .. | A_{t-1}), p(C) its splittings.
+    The sizes of the classes cat_classes lists must be whole and sum to
+    that total, else CertificateError.  MASS_CAP bounds the splitting
+    count's work, C(tk, k) per column set of size jk, j = 0..t.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if t < 2:
         raise ValueError("t must be at least 2")
-    g = gl2_size(k)
-    total = g ** (t - 1)
-    if total > MASS_CAP:
-        raise Infeasible(f"|GL({k},2)|^{t - 1} = {total} exceeds cap {MASS_CAP}")
-    mats = list(gl2_matrices(k))
-    counts: dict[tuple, int] = {}
-    for combo in product(mats, repeat=t - 1):
-        rows = []
-        for i in range(k):
-            row = 1 << i
-            for b, a in enumerate(combo):
-                row |= a[i] << ((b + 1) * k)
-            rows.append(row)
-        form = canonical_form(LinearCode(BitMatrix(rows, t * k))).form
-        counts[form] = counts.get(form, 0) + 1
-    report = MassReport(k, t, total, tuple(sorted(counts.values(), reverse=True)))
+    n = t * k
+    if n > CANONICAL_N_CAP:
+        raise Infeasible(f"length {n} exceeds canonicalization cap {CANONICAL_N_CAP}")
+    work = math.comb(n, k) * sum(math.comb(n, j * k) for j in range(t + 1))
+    if work > MASS_CAP:
+        raise Infeasible(f"k={k}, t={t}: {work} splitting-count steps exceed cap {MASS_CAP}")
+    total = gl2_size(k) ** (t - 1)
+    sizes = []
+    for cf, code in cat_classes(k, t):
+        size, rest = divmod(_splittings(code, t) * math.factorial(k) ** t, cf.aut_order)
+        if rest:
+            raise CertificateError(f"class size of {cf.form} is not whole")
+        sizes.append(size)
+    report = MassReport(k, t, total, tuple(sorted(sizes, reverse=True)))
     if not report.consistent:
-        raise CertificateError(f"orbit sizes do not sum to {total}")
+        raise CertificateError(f"class sizes sum to {sum(sizes)}, not {total}")
     return report
 
 

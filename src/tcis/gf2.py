@@ -133,16 +133,7 @@ class BitMatrix:
     def mul(self, other: "BitMatrix") -> "BitMatrix":
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions disagree")
-        out = []
-        for r in self._rows:
-            acc = 0
-            x = r
-            while x:
-                i = (x & -x).bit_length() - 1
-                acc ^= other._rows[i]
-                x &= x - 1
-            out.append(acc)
-        return BitMatrix(out, other.ncols)
+        return BitMatrix(map(other.vec_mul, self._rows), other.ncols)
 
     def mul_vec(self, v: int) -> int:
         """Matrix times column vector; returns the packed result."""
@@ -160,6 +151,14 @@ class BitMatrix:
             acc ^= self._rows[i]
             x &= x - 1
         return acc
+
+    def vec_mul_table(self) -> list[int]:
+        """vec_mul of every x in 0 .. 2^nrows - 1, in order, by XOR doubling:
+        the entries with bit i set are the first 2^i entries XOR row i."""
+        tab = [0]
+        for r in self._rows:
+            tab += [v ^ r for v in tab]
+        return tab
 
     def take_columns(self, idx: Sequence[int]) -> "BitMatrix":
         out = []

@@ -228,17 +228,16 @@ def gray_image(c: Z4Code) -> UnrestrictedCode:
 
 
 def lee_min_distance(c: Z4Code) -> int:
-    """Least positive Lee weight, via Hamming weight of the Gray image."""
-    best = None
+    """Least positive Lee weight, the least weight of a nonzero Gray image."""
+    lee = np.array(LEE_WEIGHTS)
+    least = []
     for symbols in _codeword_symbol_arrays(c.gen):
-        for w in _pack_gray(symbols):
-            if w:
-                wt = w.bit_count()
-                if best is None or wt < best:
-                    best = wt
-    if best is None:
+        weights = lee[symbols].sum(axis=1)
+        if weights.any():
+            least.append(int(weights[weights > 0].min()))
+    if not least:
         raise ValueError("code has no nonzero codeword")
-    return best
+    return min(least)
 
 
 def z4_t_cis_partition(c: Z4Code, t: int):

@@ -26,7 +26,7 @@ from tcis.boolfun import (
 )
 from tcis.classify import canonical_form, classify_tcis, enumerate_cat
 from tcis.codes import LinearCode, dual_distance, min_distance
-from tcis.construct import BuildUpChoice, build_up, mass_formula_check, qc_build
+from tcis.construct import BuildUpChoice, build_up, gl2_size, mass_formula_check, qc_build
 from tcis.gf2 import BitMatrix, Infeasible, rank
 from tcis.partition import exhaustive_partition_oracle, t_cis_partition
 from tcis.z4 import gray_image, lee_min_distance, z4_t_cis_partition
@@ -190,13 +190,14 @@ def test_criterion_07_buildup_reproduction():
 
 
 def test_criterion_08_mass_formula():
+    # the class sizes p(C) (k!)^t / |PAut(C)| of the classified codes must
+    # add up to the number of systematic codes, |GL(k,2)|^(t-1)
     results = {}
-    ok = True
-    for k, t in ((1, 3), (2, 3), (2, 2), (3, 2)):
+    for k, t in ((1, 3), (2, 3), (2, 2), (3, 2), (3, 3), (4, 2)):
         rep = mass_formula_check(k, t)
-        results[(k, t)] = (rep.group_power, len(rep.class_sizes))
-        ok = ok and rep.consistent and sum(rep.class_sizes) == rep.group_power
-    verdict(8, ok, f"orbit sums match the group power for {sorted(results)}")
+        results[(k, t)] = (len(rep.class_sizes), sum(rep.class_sizes), gl2_size(k) ** (t - 1))
+    ok = all(total == power for _, total, power in results.values())
+    verdict(8, ok, f"class sizes sum to |GL(k,2)|^(t-1) for {sorted(results)}")
 
 
 def test_criterion_09_pair_duality_sweep():

@@ -213,6 +213,20 @@ def test_canonical_form_matches_brute_property(c):
     assert repack(c, cf.perm) == cf.form
 
 
+def brute_aut_order(c):
+    """Column permutations that map every generator row into the code."""
+    words = set(c.codewords())
+    return sum(
+        all(row in words for row in c.gen.take_columns(perm).rows)
+        for perm in permutations(range(c.n))
+    )
+
+
+@given(codes_up_to_8().filter(lambda c: c.n <= 7))
+def test_aut_order_matches_brute_property(c):
+    assert canonical_form(c).aut_order == brute_aut_order(c)
+
+
 @settings(max_examples=150)
 @given(codes_up_to_15())
 def test_canonical_form_matches_reference(c):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -235,6 +236,25 @@ def test_masscheck(capsys):
         "class_sizes": [24, 8, 4],
         "consistent": True,
     }
+
+
+@pytest.mark.parametrize("k,t", [(3, 5), (2, 8), (6, 2)])
+def test_masscheck_refuses_at_once(capsys, k, t):
+    start = time.perf_counter()
+    rc, out, err = run(capsys, ["masscheck", str(k), str(t)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 3 and out == "" and err.startswith("infeasible:")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "k,t,classes,total", [(4, 3, 361, 406_425_600), (5, 2, 195, 9_999_360)]
+)
+def test_masscheck_long_running_sizes(capsys, k, t, classes, total):
+    rc, obj, _ = jrun(capsys, ["masscheck", str(k), str(t)])
+    assert rc == 0
+    assert (obj["classes"], obj["group_power"]) == (classes, total)
+    assert sum(obj["class_sizes"]) == total
 
 
 def test_z4_report(capsys, data_dir):

@@ -63,6 +63,7 @@ def test_encode_matches_row_combination(rng):
             if (msg >> i) & 1:
                 want ^= c.gen.row(i)
         assert c.encode(msg) == want
+        assert c.codewords()[msg] == want
 
 
 def test_zero_code():

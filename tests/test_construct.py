@@ -1,10 +1,13 @@
-import hashlib
+import dataclasses
 import math
+from collections import Counter
+from itertools import product
 
 import pytest
 
+import tcis.construct
 from conftest import systematic_cis_code
-from tcis.classify import equivalent
+from tcis.classify import canonical_form, cat_classes, equivalent
 from tcis.codes import LinearCode, min_distance
 from tcis.construct import (
     Bounds,
@@ -12,7 +15,6 @@ from tcis.construct import (
     QcSpec,
     bounds,
     build_up,
-    gl2_matrices,
     gl2_size,
     m_count,
     mass_formula_check,
@@ -20,8 +22,36 @@ from tcis.construct import (
     qc_build,
     subtract,
 )
-from tcis.gf2 import BitMatrix, invert, poly_mod, x_pow_minus_one
+from tcis.gf2 import BitMatrix, CertificateError, Echelon, invert, poly_mod, x_pow_minus_one
 from tcis.partition import t_cis_partition
+
+
+def gl2_matrices(k):
+    """All invertible k x k matrices, as row tuples, in DFS order."""
+
+    def grow(rows):
+        if len(rows) == k:
+            yield rows
+            return
+        span = Echelon(rows)
+        for r in range(1, 1 << k):
+            if r not in span:
+                yield from grow(rows + (r,))
+
+    yield from grow(())
+
+
+def brute_class_sizes(k, t):
+    """Orbit sizes in the systematic family, largest first: every code
+    (I | A_1 | .. | A_{t-1}) listed and grouped by canonical form."""
+    counts = Counter()
+    for combo in product(list(gl2_matrices(k)), repeat=t - 1):
+        rows = [
+            (1 << i) | sum(a[i] << ((b + 1) * k) for b, a in enumerate(combo))
+            for i in range(k)
+        ]
+        counts[canonical_form(LinearCode(BitMatrix(rows, t * k))).form] += 1
+    return tuple(sorted(counts.values(), reverse=True))
 
 
 def test_poly_from_octal():
@@ -173,6 +203,28 @@ def test_mass_class_count_matches_classification():
     assert len(rep.class_sizes) == 3
 
 
+@pytest.mark.parametrize("k,t", [(1, 3), (2, 2), (2, 3), (3, 2), (2, 4), (2, 5)])
+def test_mass_class_sizes_match_systematic_enumeration(k, t):
+    assert mass_formula_check(k, t).class_sizes == brute_class_sizes(k, t)
+
+
+def test_mass_check_catches_a_missing_class(monkeypatch):
+    classes = cat_classes(3, 2)
+    monkeypatch.setattr(tcis.construct, "cat_classes", lambda k, t: classes[1:])
+    with pytest.raises(CertificateError):
+        mass_formula_check(3, 2)
+
+
+def test_mass_check_catches_a_wrong_automorphism_order(monkeypatch):
+    (cf, code), *rest = cat_classes(3, 2)
+    doubled = dataclasses.replace(cf, aut_order=2 * cf.aut_order)
+    monkeypatch.setattr(
+        tcis.construct, "cat_classes", lambda k, t: [(doubled, code), *rest]
+    )
+    with pytest.raises(CertificateError):
+        mass_formula_check(3, 2)
+
+
 def test_bounds_values():
     b = bounds(1, 3)
     assert b.trivial_lower == 3
@@ -227,10 +279,3 @@ def test_m_count_matches_direct_sum():
             assert m_count(k, d) == brute_m_count(k, d)
 
 
-def test_gl2_matrices_order_pinned():
-    # SHA-256 of the DFS order, recorded before the independence test was
-    # folded into gf2.Echelon
-    text = repr(list(gl2_matrices(3)))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "665b6e45b6399277ec5aa57504e9617560f72d25b40ec5f9df303bcbfb782c9b"
-    )

@@ -149,6 +149,20 @@ def test_gray_image_cardinality(rng):
         assert img.n == 2 * n
 
 
+def test_lee_min_distance_matches_gray_weights(rng):
+    # small random codes, free or not, so Lee weights 1 and 2 occur
+    for _ in range(30):
+        k = rng.randrange(1, 3)
+        n = rng.randrange(1, 4)
+        c = Z4Code(Z4Matrix([[rng.randrange(4) for _ in range(n)] for _ in range(k)]))
+        weights = [w.bit_count() for w in gray_image(c).words if w]
+        if weights:
+            assert lee_min_distance(c) == min(weights)
+        else:
+            with pytest.raises(ValueError, match="no nonzero codeword"):
+                lee_min_distance(c)
+
+
 def test_non_free_rejected():
     c = Z4Code(Z4Matrix(((2, 2),)))
     assert not c.free
