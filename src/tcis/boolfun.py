@@ -11,8 +11,8 @@ rows, the high stages inside column slabs, so every stage runs in cache.
 The correlation-immunity strength of a function tuple is read off the
 spectra: a triple (a, b, c) with all Walsh values nonzero defeats masking
 at order w(a)+w(b)+w(c), and the strength is one less than the smallest
-such order.  Leakage bookkeeping sticks to exact rationals so constancy
-of a convolution is decidable, not approximate.
+such order.  WALSH_K_CAP is the one cap on k, for tables, strengths and
+convolutions alike.  Exact rational leakages make constancy decidable.
 """
 from __future__ import annotations
 
@@ -42,14 +42,10 @@ __all__ = [
     "ConstancyResult",
     "leakage_constancy_check",
     "WALSH_K_CAP",
-    "CIP_K_CAP",
-    "TUPLE_T_CAP",
     "MASKING_BITS_CAP",
 ]
 
 WALSH_K_CAP = 12
-CIP_K_CAP = 10
-TUPLE_T_CAP = 4
 MASKING_BITS_CAP = 20
 
 # _fwht splits arrays above this many bytes into row chunks and column
@@ -68,6 +64,8 @@ class BooleanPermutation:
     __slots__ = ("k", "table", "matrix")
 
     def __init__(self, k: int, table, matrix: BitMatrix | None = None):
+        if k < 1:
+            raise ValueError("k must be at least 1")
         table = tuple(table)
         if len(table) != 1 << k:
             raise ValueError(f"table must have 2^{k} entries")
@@ -158,34 +156,37 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def walsh_table(f: BooleanPermutation) -> WalshTable:
-    """Exact Walsh spectrum W = H.S, values[a, b]."""
+def _spectrum(f: BooleanPermutation, masks: np.ndarray) -> np.ndarray:
+    """Exact int16 Walsh values W(a, masks[j]) at [a, j], masks in any order."""
     if f.k > WALSH_K_CAP:
         raise Infeasible(f"k={f.k} exceeds Walsh cap {WALSH_K_CAP}")
-    n = 1 << f.k
     # int16 is exact: every entry, partial sums included, is a signed sum
     # of at most 2^k ones, and 2^k <= 2^WALSH_K_CAP = 4096 < 2^15.
-    # S[x, b] = (-1)^(F(x).b), built in place: the parity of F(x) & b.
-    s = np.fromiter(f.table, dtype=np.int16, count=n)[:, None] & np.arange(n, dtype=np.int16)
+    # S[x, j] = (-1)^(F(x).masks[j]), built in place: the parity of the AND.
+    s = np.array(f.table, dtype=np.int16)[:, None] & masks.astype(np.int16)
     np.bitwise_count(s, out=s)
     s &= 1
     s *= -2
     s += 1
-    return WalshTable(f.k, _fwht(s))
+    return _fwht(s)
 
 
-def _weights(k: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(1 << k)).astype(np.int64)
+def walsh_table(f: BooleanPermutation) -> WalshTable:
+    """Exact Walsh spectrum W = H.S, values[a, b]."""
+    return WalshTable(f.k, _spectrum(f, np.arange(1 << f.k)))
 
 
 def _min_outmask_weights(f: BooleanPermutation) -> np.ndarray:
-    # per input mask a: the least weight of b with W(a, b) != 0
-    nz = walsh_table(f).values != 0
-    # every row has a nonzero entry (rows of a scaled Hadamard-like table)
-    if not nz.any(axis=1).all():
+    # per input mask a, the least weight of b with W(a, b) != 0: the first
+    # nonzero of row a, output masks sorted by weight.  A permutation's
+    # spectrum has one in every row (Parseval), so a row without one fails.
+    masks = np.arange(1 << f.k)
+    order = np.argsort(np.bitwise_count(masks), kind="stable")
+    nz = _spectrum(f, order) != 0
+    first = nz.argmax(axis=1)
+    if not nz[masks, first].all():
         raise CertificateError(f"k={f.k} Walsh table has an all-zero row")
-    big = np.where(nz, _weights(f.k)[None, :], (1 << f.k) + 1)
-    return big.min(axis=1)
+    return np.bitwise_count(order[first])
 
 
 def cip_strength(f1: BooleanPermutation, f2: BooleanPermutation) -> int:
@@ -208,11 +209,7 @@ def t_ci_strength(fs) -> int:
     k = fs[0].k
     if any(f.k != k for f in fs):
         raise ValueError("permutations act on different sizes")
-    if k > CIP_K_CAP or len(fs) > TUPLE_T_CAP:
-        raise Infeasible(
-            f"k={k}, t={len(fs)} exceeds tuple caps ({CIP_K_CAP}, {TUPLE_T_CAP})"
-        )
-    total = _weights(k)[1:]
+    total = np.bitwise_count(np.arange(1, 1 << k)).astype(np.int64)
     for f in fs:
         total = total + _min_outmask_weights(f)[1:]
     return int(total.min()) - 1
@@ -286,6 +283,8 @@ class LeakageFunction:
     __slots__ = ("k", "values")
 
     def __init__(self, k: int, values):
+        if k < 1:
+            raise ValueError("k must be at least 1")
         values = tuple(Fraction(v) for v in values)
         if len(values) != 1 << k:
             raise ValueError(f"need 2^{k} values")

@@ -18,7 +18,6 @@ from .codes import LinearCode
 from .gf2 import (
     BitMatrix,
     CertificateError,
-    Echelon,
     Infeasible,
     invert,
     parity_dot,
@@ -215,15 +214,16 @@ def gl2_size(k: int) -> int:
 def _splittings(c: LinearCode, t: int) -> int:
     """Ordered splittings of the columns of c into t information sets.
 
-    ways[S] counts those of the column mask S; each layer of masks grows
-    by every information set disjoint from it."""
+    A k-subset is one iff none of its 2^k - 1 nonzero column sums, built
+    at once by XOR doubling, is zero.  ways[S] counts the splittings of
+    the column mask S; each layer of masks grows by every disjoint set."""
     n, k = c.n, c.k
-    cols = c.gen.columns()
-    info = np.array(
-        [sum(1 << j for j in s) for s in combinations(range(n), k)
-         if Echelon(cols[j] for j in s).rank == k],
-        dtype=np.int64,
-    )
+    subsets = np.array(list(combinations(range(n), k)), dtype=np.int64)
+    cols = np.array(c.gen.columns(), dtype=np.int64)[subsets]
+    sums = np.zeros((len(subsets), 1), dtype=np.int64)
+    for j in range(k):
+        sums = np.hstack([sums, sums ^ cols[:, j : j + 1]])
+    info = (1 << subsets).sum(axis=1)[(sums[:, 1:] != 0).all(axis=1)]
     ways = np.zeros(1 << n, dtype=np.int64)
     ways[0] = 1
     layer = np.zeros(1, dtype=np.int64)

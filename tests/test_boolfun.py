@@ -1,7 +1,11 @@
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,18 @@ def test_permutation_validation():
         BooleanPermutation(2, [0, 1, 2])
     ident = BooleanPermutation.identity(3)
     assert [ident(x) for x in range(8)] == list(range(8))
+
+
+@pytest.mark.parametrize("k, table", [(0, [0]), (-1, [])])
+def test_permutation_rejects_k_below_one(k, table):
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        t_ci_strength([BooleanPermutation(k, table)])
+
+
+@pytest.mark.parametrize("k, values", [(0, [1]), (-1, [])])
+def test_leakage_rejects_k_below_one(k, values):
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        LeakageFunction(k, values)
 
 
 def test_from_matrix_row_action(rng):
@@ -285,6 +301,54 @@ def test_identity_pair_strength():
     assert t_ci_strength([ident, ident]) == 2
 
 
+def brute_least_weights(f):
+    # per input mask a, the least weight of an output mask with a nonzero
+    # Walsh value, scanned over the whole table row
+    return [
+        min(b.bit_count() for b, v in enumerate(row) if v)
+        for row in walsh_table(f).values.tolist()
+    ]
+
+
+@given(st.integers(0, 2**32))
+def test_t_ci_strength_matches_brute_minima(seed):
+    # nonlinear tuples of up to six functions, past any count limit; the
+    # per-row minima are compared too, since a linear function has one
+    # nonzero per row and a random one rarely sets the tuple's minimum
+    # away from weight-1 output masks
+    rng = random.Random(seed)
+    k, t = rng.randrange(1, 7), rng.randrange(1, 7)
+    fs = [random_perm(rng, k) for _ in range(t)]
+    least = [brute_least_weights(f) for f in fs]
+    for f, row_minima in zip(fs, least):
+        assert tcis.boolfun._min_outmask_weights(f).tolist() == row_minima
+    want = min(a.bit_count() + sum(m[a] for m in least) for a in range(1, 1 << k))
+    assert t_ci_strength(fs) == want - 1
+
+
+@pytest.mark.parametrize("k", [11, 12])
+def test_linear_strength_is_distance_minus_one(k):
+    # linear bijections of a systematic 3-CIS code mask at d - 1
+    c = systematic_cis_code(random.Random(0xD1 + k), k, 3)
+    fs = derive_bijections(c, 3)
+    assert t_ci_strength(fs) == min_distance(c) - 1
+
+
+def test_strength_k10_memory():
+    # each spectrum is read through its nonzero mask alone, so the peak
+    # stays under twice one table's bytes
+    rng = random.Random(0x10)
+    fs = [random_perm(rng, 10) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        t_ci_strength(fs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table_bytes = 2 * 4**10  # int16
+    assert peak <= 2 * table_bytes
+
+
 def test_t_ci_strength_matches_pair(rng):
     for _ in range(8):
         f1, f2 = random_perm(rng, 3), random_perm(rng, 3)
@@ -455,14 +519,51 @@ def test_protected_constancy_order(bk_24_8):
 
 
 def test_zero_walsh_row_raises(monkeypatch):
-    # a permutation's Walsh rows are never all zero; a table that has one
+    # a permutation's Walsh rows are never all zero; a spectrum that has one
     # must fail the re-check instead of yielding a strength
+    spectrum = tcis.boolfun._spectrum
+
+    def zero_row(f, masks):
+        values = spectrum(f, masks)
+        values[5] = 0
+        return values
+
+    monkeypatch.setattr(tcis.boolfun, "_spectrum", zero_row)
     f = BooleanPermutation.identity(3)
-    table = walsh_table(f)
-    table.values[5] = 0
-    monkeypatch.setattr(tcis.boolfun, "walsh_table", lambda g: table)
     with pytest.raises(CertificateError, match="all-zero row"):
         cip_strength(f, f)
+
+
+ZERO_ROW_RECHECK = """
+import tcis.boolfun
+from tcis.boolfun import BooleanPermutation, t_ci_strength
+from tcis.gf2 import CertificateError
+
+if __debug__:
+    raise SystemExit("assertions are still on")
+spectrum = tcis.boolfun._spectrum
+
+def zero_row(f, masks):
+    values = spectrum(f, masks)
+    values[5] = 0
+    return values
+
+tcis.boolfun._spectrum = zero_row
+try:
+    t_ci_strength([BooleanPermutation.identity(3)])
+except CertificateError:
+    print("CertificateError")
+"""
+
+
+def test_zero_walsh_row_recheck_survives_python_O():
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", ZERO_ROW_RECHECK],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    ).stdout
+    assert out.split() == ["CertificateError"]
 
 
 def _digest(obj) -> str:

@@ -123,9 +123,14 @@ def test_cip_strength(capsys, tmp_path, bk_24_8):
     rc, obj, _ = jrun(capsys, ["cip", str(p1), str(p2)])
     assert rc == 0 and obj == {"k": 8, "strength": 7}
 
-    # k = 11 is past the library's strength cap
-    big = tmp_path / "k11.perm"
-    formats.save(big, BooleanPermutation.identity(11))
+    # the identity pair has strength 2 up to the Walsh cap, k = 12
+    for k in (11, 12):
+        big = tmp_path / f"k{k}.perm"
+        formats.save(big, BooleanPermutation.identity(k))
+        rc, out, _ = run(capsys, ["cip", str(big), str(big)])
+        assert rc == 0 and out == "strength: 2\n"
+    big = tmp_path / "k13.perm"
+    formats.save(big, BooleanPermutation.identity(13))
     rc, out, err = run(capsys, ["cip", str(big), str(big)])
     assert rc == 3 and out == "" and err.startswith("infeasible:")
 

@@ -23,6 +23,18 @@ def test_no_function_level_imports():
     assert found == []
 
 
+def test_no_assert_statements():
+    # python -O strips assert statements, so every certificate re-check
+    # raises an error of its own instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_all_exports_resolve():
     # a removed name must not linger in any __all__
     modules = [tcis] + [

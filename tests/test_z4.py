@@ -3,11 +3,12 @@ import random
 from itertools import permutations
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tcis.boolfun import t_ci_strength
+from tcis.boolfun import t_ci_strength, walsh_table
 from tcis.codes import dual_distance, min_distance
 from tcis.gf2 import rank
 from tcis.z4 import (
@@ -128,6 +129,25 @@ def test_z4_24_6(z4_24_6):
     assert p.is_partition
     assert sorted(p.sets, key=min) == [tuple(range(b * 6, (b + 1) * 6))
                                        for b in range(4)]
+
+
+def test_z4_24_6_gray_strength(z4_24_6):
+    # the three 12-bit Gray bijections are nonlinear, so only the Walsh
+    # route answers; the oracle takes each table's output masks one weight
+    # class at a time, lightest first
+    fs = z4_derive_bijections(z4_24_6, 4)
+    k = fs[0].k
+    weights = np.bitwise_count(np.arange(1 << k))
+    total = weights[1:].astype(np.int64)
+    for f in fs:
+        values = walsh_table(f).values
+        least = np.full(1 << k, k + 1)
+        for w in range(k + 1):
+            hit = (values[:, weights == w] != 0).any(axis=1)
+            least[(least > k) & hit] = w
+        total += least[1:]
+    assert int(total.min()) - 1 == 9
+    assert t_ci_strength(fs) == 9
 
 
 def test_gray_image_cardinality(rng):
