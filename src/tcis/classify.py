@@ -113,18 +113,26 @@ def canonical_form(c: LinearCode) -> CanonicalCode:
             best_perm[:] = None, 0
         return True
 
-    def rec(span: dict, free: list[int], chosen: tuple[int, ...]):
-        # span maps each vector spanned by the chosen columns to its
-        # expression mask.  Masks compare like their signatures, which first
-        # differ on the block where only their top differing column is 1.
-        r = len(span).bit_length() - 1
+    def rec(span: list[int], vecs: list[int], free: list[int], chosen: tuple[int, ...]):
+        # span[v] is the expression mask of vector v in the chosen columns,
+        # -1 outside their span, and vecs[e] the vector with mask e.  Masks
+        # compare like their signatures, which first differ on the block
+        # where only their top differing column is 1.
+        r = len(vecs).bit_length() - 1
         # span columns have a 0 on block 0, so all of them come first
-        dep = sorted((span[gcol[col]], col) for col in free if gcol[col] in span)
+        dep, rest = [], []
+        for col in free:
+            e = span[gcol[col]]
+            if e < 0:
+                rest.append(col)
+            else:
+                dep.append((e, col))
+        dep.sort()
         for level, (e, _) in enumerate(dep, len(chosen) + 1):
             if not improve(level, sigs[r][e]):
                 return
         chosen += tuple(col for _, col in dep)
-        free = [col for col in free if gcol[col] not in span]
+        free = rest
         if not free:
             if best_perm[0] is None:
                 best_perm[0] = chosen
@@ -135,10 +143,13 @@ def canonical_form(c: LinearCode) -> CanonicalCode:
         # one branch per distinct column: the first of its copies, ascending
         for col in sorted({gcol[col]: col for col in reversed(free)}.values()):
             g = gcol[col]
-            nxt = span | {v ^ g: e | 1 << r for v, e in span.items()}
-            rec(nxt, [f for f in free if f != col], chosen + (col,))
+            ext = [v ^ g for v in vecs]
+            nxt = span[:]
+            for e, v in enumerate(ext, 1 << r):
+                nxt[v] = e
+            rec(nxt, vecs + ext, [f for f in free if f != col], chosen + (col,))
 
-    rec({0: 0}, list(range(n)), ())
+    rec([0] + [-1] * ((1 << k) - 1), [0], list(range(n)), ())
     perm, leaves = best_perm
     # canonical column 0 is the most significant bit of each packed word
     form = c.gen.take_columns(perm[::-1]).vec_mul_table()
@@ -163,26 +174,52 @@ def _basis_sets(k: int) -> list[tuple[int, ...]]:
 
 @cache
 def _cat_images(k: int) -> tuple:
-    """The unordered bases of F_2^k and images[p, b], basis b with its
+    """The unordered bases of F_2^k and images[p, x], vector x with its
     coordinates moved by the p-th permutation; one read-only copy per k."""
     bases = tuple(_basis_sets(k))
     perms = np.array(list(permutations(range(k))))
     bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
-    tabs = (bits[None] << perms[:, None, :]).sum(axis=2).astype(np.uint8)
-    images = tabs[:, np.array(bases)]
+    images = (bits[None] << perms[:, None, :]).sum(axis=2).astype(np.uint8)
     images.flags.writeable = False
     return bases, images
 
 
-def _lex_min(keys: np.ndarray) -> np.ndarray:
-    """Lexicographically least row over axis 0 of a (P, L, W) uint64 array."""
-    least = np.empty(keys.shape[1:], dtype=np.uint64)
-    alive = np.ones(keys.shape[:2], dtype=bool)
-    for w in range(keys.shape[2]):
-        col = np.where(alive, keys[:, :, w], ~np.uint64(0))
-        least[:, w] = col.min(axis=0)
-        alive &= col == least[:, w]
-    return least
+@cache
+def _basis_arrays(k: int) -> tuple:
+    """columns[b], the columns of basis b as in _cat_images, and
+    inverse[b, x], the coordinates of x in basis b; read-only."""
+    bases, _ = _cat_images(k)
+    columns = np.array(bases, dtype=np.uint8)
+    # fwd[b, y] = B_b y, the combination of the columns picked by y
+    fwd = np.zeros((len(bases), 1), dtype=np.uint8)
+    for i in range(k):
+        fwd = np.concatenate([fwd, fwd ^ columns[:, i : i + 1]], axis=1)
+    inverse = np.argsort(fwd, axis=1).astype(np.uint8)
+    columns.flags.writeable = inverse.flags.writeable = False
+    return columns, inverse
+
+
+def _multiset_keys(images: np.ndarray, cols: np.ndarray) -> list[tuple[int, ...]]:
+    """Cat key of each row of cols, an (M, w) array of column multisets.
+
+    The key is the least sorted column sequence over all k! coordinate
+    permutations, as a tuple of zero-padded big-endian words, so tuple
+    order is column-sequence order.
+    """
+    m, width = cols.shape
+    seq = np.zeros((len(images), m, -(-width // 8) * 8), dtype=np.uint8)
+    seq[:, :, :width] = images[:, cols]
+    seq[:, :, :width].sort(axis=2)
+    words = seq.view(">u8").astype(np.uint64)  # (P, M, W)
+    # lexicographically least over the permutations, word by word among
+    # the permutations tied on the words before
+    least = [words[:, :, 0].min(axis=0)]
+    tied = words[:, :, 0] == least[0]
+    for w in range(1, words.shape[2]):
+        col = np.where(tied, words[:, :, w], ~np.uint64(0))
+        least.append(col.min(axis=0))
+        tied &= col == least[-1]
+    return list(zip(*(word.tolist() for word in least)))
 
 
 _CAT_BATCH = 1024  # multisets keyed per numpy batch; bounds the scratch memory
@@ -190,38 +227,22 @@ _CAT_BATCH = 1024  # multisets keyed per numpy batch; bounds the scratch memory
 
 def _cat_keys(k: int, t: int):
     """Yield (key, combo) for every multiset of t-1 bases of F_2^k, in
-    combinations_with_replacement order of the basis indices.
-
-    The key is the least sorted column sequence over all k! coordinate
-    permutations, as a tuple of zero-padded big-endian words, so tuple
-    order is column-sequence order.  Multisets are keyed in numpy batches.
-    """
-    _, images = _cat_images(k)
-    nperm, nb, _ = images.shape
-    width = k * (t - 1)
-    nbytes = -(-width // 8) * 8
-    walk = combinations_with_replacement(range(nb), t - 1)
-    for _ in range(0, comb(nb + t - 2, t - 1), _CAT_BATCH):
+    combinations_with_replacement order of the basis indices, keyed in
+    numpy batches."""
+    bases, images = _cat_images(k)
+    columns, _ = _basis_arrays(k)
+    walk = combinations_with_replacement(range(len(bases)), t - 1)
+    for _ in range(0, comb(len(bases) + t - 2, t - 1), _CAT_BATCH):
         combos = np.fromiter(
             chain.from_iterable(islice(walk, _CAT_BATCH)), dtype=np.intp
         ).reshape(-1, t - 1)
-        seq = np.zeros((nperm, len(combos), nbytes), dtype=np.uint8)
-        seq[:, :, :width] = images[:, combos].reshape(nperm, len(combos), width)
-        seq[:, :, :width].sort(axis=2)
-        keys = _lex_min(seq.view(">u8").astype(np.uint64))
-        yield from zip(map(tuple, keys.tolist()), combos.tolist())
+        cols = columns[combos].reshape(len(combos), -1)
+        yield from zip(_multiset_keys(images, cols), combos.tolist())
 
 
-def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
-    """Invertible-block concatenations up to row and column permutation.
-
-    A class is determined by the multiset of the k(t-1) columns up to
-    permuting the k coordinates, so classes are enumerated as multisets
-    of unordered bases and deduplicated by their _cat_keys key; the first
-    multiset seen with a key represents it.  Returns (count,
-    representatives) in key order; each representative is a tuple of
-    t-1 bases whose concatenation realizes the class.
-    """
+def _cat_first(k: int, t: int, allow_slow: bool) -> dict[tuple[int, ...], list[int]]:
+    """{key: combo} of the first multiset seen with each _cat_keys key,
+    behind enumerate_cat's guards."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if t < 2:
@@ -242,6 +263,21 @@ def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
     first: dict[tuple[int, ...], list[int]] = {}
     for key, combo in _cat_keys(k, t):
         first.setdefault(key, combo)
+    return first
+
+
+def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
+    """Invertible-block concatenations up to row and column permutation.
+
+    A class is determined by the multiset of the k(t-1) columns up to
+    permuting the k coordinates, so classes are enumerated as multisets
+    of unordered bases and deduplicated by their _cat_keys key; the first
+    multiset seen with a key represents it.  Returns (count,
+    representatives) in key order; each representative is a tuple of
+    t-1 bases whose concatenation realizes the class.
+    """
+    first = _cat_first(k, t, allow_slow)
+    bases, _ = _cat_images(k)
     reps = [tuple(bases[bi] for bi in first[key]) for key in sorted(first)]
     return len(reps), reps
 
@@ -401,17 +437,67 @@ def _classify_fast_t3(k: int):
     ]
 
 
+def _rebased_keys(k: int, combos: np.ndarray):
+    """Yield (i, key): the Cat key of (I | B_a^-1 | B_a^-1 B_b for b != a)
+    for each row i of combos, the bases B_1 .. B_{t-1} of one Cat class,
+    and each block a, keyed in numpy batches."""
+    _, images = _cat_images(k)
+    columns, inverse = _basis_arrays(k)
+    t = combos.shape[1] + 1
+    # moved[:, a, b] is B_b, and I where b = a; through B_a^-1 these give
+    # B_a^-1 B_b, and B_a^-1 itself, the image of the identity block
+    diag = np.eye(t - 1, dtype=bool)[:, :, None]
+    unit = np.uint8(1) << np.arange(k, dtype=np.uint8)
+    step = max(1, _CAT_BATCH // (t - 1))
+    for lo in range(0, len(combos), step):
+        batch = combos[lo : lo + step]
+        moved = np.where(diag, unit, columns[batch][:, None])  # (M, a, b, k)
+        rebased = inverse[batch[:, :, None], moved.reshape(len(batch), t - 1, -1)]
+        keys = _multiset_keys(images, rebased.reshape(-1, rebased.shape[2]))
+        yield from zip(np.arange(lo, lo + len(batch)).repeat(t - 1).tolist(), keys)
+
+
+def _orbit_roots(k: int, t: int) -> list[list[int]]:
+    """The combo of the least Cat class, in key order, of each orbit that
+    rebasing joins, roots in key order; enumerate_cat's guards apply."""
+    first = _cat_first(k, t, allow_slow=True)
+    keys = sorted(first)
+    combos = np.array([first[key] for key in keys], dtype=np.intp).reshape(len(keys), t - 1)
+    # the enumeration's dict now maps each key to its position
+    for i, key in enumerate(keys):
+        first[key] = i
+    root = list(range(len(keys)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    if len(keys) > 1:
+        for i, key in _rebased_keys(k, combos):
+            a, b = find(i), find(first[key])
+            root[max(a, b)] = min(a, b)
+    return [combos[i].tolist() for i in range(len(keys)) if root[i] == i]
+
+
 def cat_classes(k: int, t: int) -> list[tuple[CanonicalCode, LinearCode]]:
     """(canonical form, code) of every class of t-CIS [tk, k] codes, in form order.
 
-    One concatenation per Cat class is appended to the identity and the
-    results deduplicated by canonical form; the representative of a class
-    is its first Cat class in key order.  enumerate_cat's guards apply.
+    Row operations by B_a^-1 show (I | B_1 | .. | B_{t-1}) equivalent to
+    (I | B_a^-1 | B_a^-1 B_b for b != a), itself a concatenation of
+    invertible blocks.  So each Cat class is first joined with the Cat
+    classes of its rebasings, the root of each joined orbit being its
+    least class in key order.  One concatenation per orbit root is then
+    appended to the identity and the results deduplicated by canonical
+    form.  The representative of a class is its first Cat class in key
+    order, as without the joining: every joined class is equivalent to
+    its root, and the root precedes it.  enumerate_cat's guards apply.
     """
-    _, cat_reps = enumerate_cat(k, t, allow_slow=True)
+    roots = _orbit_roots(k, t)
+    bases, _ = _cat_images(k)
     forms: dict[tuple, tuple[CanonicalCode, LinearCode]] = {}
-    for blocks in cat_reps:
-        code = _blocks_code(k, blocks)
+    for combo in roots:
+        code = _blocks_code(k, [bases[bi] for bi in combo])
         cf = canonical_form(code)
         forms.setdefault(cf.form, (cf, code))
     return [forms[f] for f in sorted(forms)]

@@ -24,7 +24,6 @@ __all__ = [
     "vec_to_str",
     "rank",
     "invert",
-    "solve_in_span",
     "poly_degree",
     "poly_mul",
     "poly_divmod",
@@ -135,13 +134,6 @@ class BitMatrix:
             raise ValueError("inner dimensions disagree")
         return BitMatrix(map(other.vec_mul, self._rows), other.ncols)
 
-    def mul_vec(self, v: int) -> int:
-        """Matrix times column vector; returns the packed result."""
-        acc = 0
-        for i, r in enumerate(self._rows):
-            acc |= parity_dot(r, v) << i
-        return acc
-
     def vec_mul(self, v: int) -> int:
         """Row vector times matrix."""
         acc = 0
@@ -168,13 +160,6 @@ class BitMatrix:
                 v |= ((r >> j) & 1) << pos
             out.append(v)
         return BitMatrix(out, len(idx))
-
-    def hstack(self, other: "BitMatrix") -> "BitMatrix":
-        if self.nrows != other.nrows:
-            raise ValueError("row counts disagree")
-        n = self.ncols
-        rows = [a | (b << n) for a, b in zip(self._rows, other._rows)]
-        return BitMatrix(rows, n + other.ncols)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
@@ -274,21 +259,6 @@ def invert(m: BitMatrix) -> BitMatrix | None:
     if span.rank < m.nrows:
         return None
     return BitMatrix([span.express(1 << i) for i in range(m.ncols)], m.ncols)
-
-
-def solve_in_span(basis: BitMatrix, target: int) -> int | None:
-    """Express a packed column vector over the columns of an independent basis.
-
-    Returns a coefficient mask (bit j set when column j participates) or
-    None when the target lies outside the span.  The columns of ``basis``
-    must be linearly independent; a dependent basis is a caller bug and
-    raises ValueError.
-    """
-    cols = basis.columns()
-    span = Echelon(cols)
-    if span.rank < len(cols):
-        raise ValueError("basis columns are linearly dependent")
-    return span.express(target)
 
 
 def poly_degree(p: int) -> int | None:

@@ -8,7 +8,7 @@ from hypothesis import settings
 from tcis import formats
 from tcis.classify import classify_tcis
 from tcis.codes import LinearCode
-from tcis.gf2 import BitMatrix, rank
+from tcis.gf2 import BitMatrix, Echelon, parity_dot, rank
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "tcis" / "data"
 
@@ -57,6 +57,27 @@ def classification():
     """classify_tcis(k, t, allow_slow=True), run at most once a session per
     (k, t): the length-12 and length-15 censuses take seconds to minutes."""
     return _classify
+
+
+def hstack(a: BitMatrix, b: BitMatrix) -> BitMatrix:
+    """[a | b]: the columns of b after those of a."""
+    return BitMatrix([x | y << a.ncols for x, y in zip(a.rows, b.rows)], a.ncols + b.ncols)
+
+
+def mul_vec(m: BitMatrix, v: int) -> int:
+    """m times the column vector v, packed."""
+    return sum(parity_dot(r, v) << i for i, r in enumerate(m.rows))
+
+
+def solve_in_span(basis: BitMatrix, target: int) -> int | None:
+    """Coefficient mask of target over the columns of basis, bit j for
+    column j, or None outside their span; dependent columns raise
+    ValueError."""
+    cols = basis.columns()
+    span = Echelon(cols)
+    if span.rank < len(cols):
+        raise ValueError("basis columns are linearly dependent")
+    return span.express(target)
 
 
 def random_full_rank(rng: random.Random, n: int, k: int) -> BitMatrix:

@@ -2,23 +2,28 @@
 
 import hashlib
 import random
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement, permutations
 from operator import xor
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tcis.classify
-from conftest import random_code, random_invertible
+from conftest import hstack, random_code, random_invertible
 from tcis.classify import (
     CANONICAL_N_CAP,
     ClassTableRow,
+    _basis_arrays,
     _basis_sets,
     _blocks_code,
+    _cat_first,
     _cat_images,
+    _rebased_keys,
     canonical_form,
+    cat_classes,
     class_table_text,
     classify_tcis,
     enumerate_cat,
@@ -175,7 +180,7 @@ def classify_by_blocks(k, t):
         nxt = {}
         for code in stage.values():
             for basis in bases:
-                cand = LinearCode(code.gen.hstack(BitMatrix(basis, k).transpose()))
+                cand = LinearCode(hstack(code.gen, BitMatrix(basis, k).transpose()))
                 nxt.setdefault(canonical_form(cand).form, cand)
         stage = nxt
     return [stage[f] for f in sorted(stage)]
@@ -327,6 +332,18 @@ def test_cat_tables_cached_read_only():
     assert list(bases) == _basis_sets(3)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_basis_inverse_tables(k):
+    bases, _ = _cat_images(k)
+    columns, inverse = _basis_arrays(k)
+    assert columns.tolist() == [list(b) for b in bases]
+    assert not columns.flags.writeable and not inverse.flags.writeable
+    for basis, inv in zip(bases, inverse.tolist()):
+        # inv[x] is the coefficient vector y with B y = x
+        assert [reduce(xor, (c for i, c in enumerate(basis) if y >> i & 1), 0)
+                for y in inv] == list(range(1 << k))
+
+
 @pytest.mark.slow
 def test_cat_count_k4():
     assert enumerate_cat(4, allow_slow=True)[0] == 4822
@@ -353,6 +370,70 @@ def test_cat_wide_keys(k, t):
 @pytest.mark.slow
 def test_cat_matches_reference_k4():
     assert enumerate_cat(4, allow_slow=True) == reference_cat(4, 3)
+
+
+def cat_classes_per_cat_class(k, t):
+    """cat_classes with one canonical form per Cat class: every Cat
+    representative appended to the identity, deduplicated by form, the
+    first in key order representing its class."""
+    _, cat_reps = enumerate_cat(k, t, allow_slow=True)
+    forms = {}
+    for blocks in cat_reps:
+        code = _blocks_code(k, blocks)
+        cf = canonical_form(code)
+        forms.setdefault(cf.form, (cf, code))
+    return [forms[f] for f in sorted(forms)]
+
+
+ORBIT_SIZES = [(k, t) for k in (1, 2, 3) for t in (2, 3, 4)] + [
+    (4, 2),
+    (2, 5),
+    (2, 6),
+    pytest.param(4, 3, marks=pytest.mark.slow),
+    pytest.param(5, 2, marks=pytest.mark.slow),
+]
+
+
+@pytest.mark.parametrize("k,t", ORBIT_SIZES)
+def test_cat_classes_match_per_cat_class(k, t):
+    # same forms, witnesses, automorphism orders and representatives
+    assert cat_classes(k, t) == cat_classes_per_cat_class(k, t)
+
+
+@cache
+def cat_first(k, t):
+    return _cat_first(k, t, allow_slow=True)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_rebasings_are_equivalent(seed):
+    # every Cat class that the orbit merge joins to a representative has
+    # the representative's canonical form
+    rng = random.Random(seed)
+    k, t = rng.choice([(k, t) for k in (1, 2, 3) for t in (2, 3, 4)] + [(4, 2), (4, 3)])
+    first = cat_first(k, t)
+    bases, _ = _cat_images(k)
+    combos = list(first.values())
+    picked = rng.sample(combos, min(3, len(combos)))
+    rebased = list(_rebased_keys(k, np.array(picked, dtype=np.intp)))
+    assert len(rebased) == len(picked) * (t - 1)
+    for i, key in rebased:
+        rep = _blocks_code(k, [bases[bi] for bi in picked[i]])
+        other = _blocks_code(k, [bases[bi] for bi in first[key]])
+        assert canonical_form(other).form == canonical_form(rep).form
+
+
+@pytest.mark.parametrize("k,t,calls", [(3, 3, 19), (4, 2, 35)])
+def test_cat_classes_canonicalizes_once_per_orbit(monkeypatch, k, t, calls):
+    seen = []
+
+    def counting(code):
+        seen.append(code)
+        return canonical_form(code)
+
+    monkeypatch.setattr(tcis.classify, "canonical_form", counting)
+    cat_classes(k, t)
+    assert len(seen) == calls
 
 
 def test_classify_small_lengths():
@@ -459,6 +540,19 @@ def test_canonical_form_pinned():
     _, reps = enumerate_cat(3)
     assert form_digest([_blocks_code(3, blocks) for blocks in reps]) == (
         "44d2e29e9d02b4a735404018a13c99c92cd0949c3c5e0be71bdda273b594f048"
+    )
+
+
+def test_aut_order_pinned():
+    # SHA-256 of aut_order over the codes of test_canonical_form_pinned,
+    # recorded with the span-dict search
+    rng = random.Random(20261018)
+    codes = [pin_code(rng) for _ in range(300)]
+    _, reps = enumerate_cat(3)
+    codes += [_blocks_code(3, blocks) for blocks in reps]
+    text = repr([canonical_form(c).aut_order for c in codes])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "243a1ee4e6e58a107bf3224834fb02f83bbeb521a62f293e4f0befbab22be7bd"
     )
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface via main(argv)."""
 
+import hashlib
 import json
 import time
 
@@ -260,6 +261,43 @@ def test_masscheck_long_running_sizes(capsys, k, t, classes, total):
     assert rc == 0
     assert (obj["classes"], obj["group_power"]) == (classes, total)
     assert sum(obj["class_sizes"]) == total
+
+
+def masscheck_digest(capsys, sizes):
+    """SHA-256 of masscheck's exit code, stdout and stderr, as text and
+    under --json, at each (k, t)."""
+    runs = [
+        (k, t, *run(capsys, ["masscheck", str(k), str(t), *extra]))
+        for k, t in sizes
+        for extra in ([], ["--json"])
+    ]
+    return hashlib.sha256(repr(runs).encode()).hexdigest()
+
+
+# SHA-256 of masscheck over k = 1..5, t = 2..15, recorded with one
+# canonical form per Cat class; the two long-running sizes run under slow
+MASSCHECK_SLOW_DIGESTS = {
+    (4, 3): "0b72efffcb643d392ad559befc39bdbd626bd75f1e64b62c288176edf7ac2548",
+    (5, 2): "e3d4df0a78b5e7833dd0828d42d98d7b652f906ef42279fdcaa545f34d6a2734",
+}
+
+
+def test_masscheck_pinned(capsys):
+    sizes = [
+        (k, t)
+        for k in range(1, 6)
+        for t in range(2, 16)
+        if (k, t) not in MASSCHECK_SLOW_DIGESTS
+    ]
+    assert masscheck_digest(capsys, sizes) == (
+        "2bc1ec286d533809f17611798fb0404072ee85ec8ef167415f570910dad7bbb2"
+    )
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k,t", sorted(MASSCHECK_SLOW_DIGESTS))
+def test_masscheck_pinned_long_running(capsys, k, t):
+    assert masscheck_digest(capsys, [(k, t)]) == MASSCHECK_SLOW_DIGESTS[k, t]
 
 
 def test_z4_report(capsys, data_dir):

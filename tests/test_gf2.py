@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_full_rank, random_invertible
+from conftest import hstack, mul_vec, random_full_rank, random_invertible, solve_in_span
 from tcis.gf2 import (
     BitMatrix,
     Echelon,
@@ -20,7 +20,6 @@ from tcis.gf2 import (
     poly_mod,
     poly_mul,
     rank,
-    solve_in_span,
     vec_from_str,
     vec_to_str,
     x_pow_minus_one,
@@ -62,7 +61,7 @@ def test_matrix_column_ops():
     m = BitMatrix.from_strings(["1010", "0110"])
     assert m.take_columns([3, 0]).to_strings() == ["01", "00"]
     assert m.take_columns([2, 1, 0]).to_strings() == ["101", "110"]
-    h = m.hstack(BitMatrix.from_strings(["11", "01"]))
+    h = hstack(m, BitMatrix.from_strings(["11", "01"]))
     assert h.to_strings() == ["101011", "011001"]
 
 
@@ -71,7 +70,7 @@ def test_mul_vec_vs_vec_mul(rng):
         k = rng.randrange(1, 7)
         m = random_full_rank(rng, k, k)
         x = rng.randrange(1 << k)
-        assert m.vec_mul(x) == m.transpose().mul_vec(x)
+        assert m.vec_mul(x) == mul_vec(m.transpose(), x)
 
 
 def test_rank_and_invert(rng):

@@ -236,7 +236,7 @@ if __debug__:
 tcis.partition.invert = tcis.codes.invert = lambda m: None
 # the identity is a wrong residue inverse of [[1, 1], [1, 0]]
 tcis.z4.invert = lambda m: BitMatrix.identity(m.nrows)
-code = LinearCode(BitMatrix.identity(2).hstack(BitMatrix.identity(2)))
+code = LinearCode(BitMatrix([0b0101, 0b1010], 4))  # (I | I)
 for check in (lambda: tcis.partition.t_cis_partition(code, 2),
               lambda: tcis.codes.systematic_form(code),
               lambda: tcis.z4.z4_invert(Z4Matrix([[1, 1], [1, 0]]))):
