@@ -53,7 +53,7 @@ __all__ = [
 
 CANONICAL_N_CAP = 15
 CANONICAL_WORDS_CAP = 64
-# (3, 7) keys 1,107,568 multisets in about 4 s; (3, 8) would key 5,379,616
+# (3, 7) keys 1,107,568 multisets in 0.49 s on a 2-core Xeon; (3, 8) would key 5,379,616
 CAT_MULTISET_CAP = 1 << 21
 
 
@@ -199,50 +199,53 @@ def _basis_arrays(k: int) -> tuple:
     return columns, inverse
 
 
-def _multiset_keys(images: np.ndarray, cols: np.ndarray) -> list[tuple[int, ...]]:
-    """Cat key of each row of cols, an (M, w) array of column multisets.
+@cache
+def _cat_weights(k: int, digits: int) -> np.ndarray:
+    """weights[p, x]: the digit of x, moved by the p-th permutation of
+    _cat_images, in count vectors packed `digits` bits per nonzero vector,
+    vector 1 the most significant; 0 for x = 0.  Read-only."""
+    width = digits * ((1 << k) - 1)
+    if width > 64:
+        raise Infeasible(f"k={k}: Cat keys of {digits}-bit counts need {width} > 64 bits")
+    images = _cat_images(k)[1].astype(np.uint64)
+    weights = (np.uint64(1) << width - digits * images) * (images > 0)
+    weights.flags.writeable = False
+    return weights
 
-    The key is the least sorted column sequence over all k! coordinate
-    permutations, as a tuple of zero-padded big-endian words, so tuple
-    order is column-sequence order.
+
+@cache
+def _basis_sums(k: int, digits: int) -> np.ndarray:
+    """sums[p, b]: the _cat_weights count vector of basis b, its columns
+    moved by the p-th permutation; read-only."""
+    sums = _cat_weights(k, digits)[:, _basis_arrays(k)[0]].sum(axis=2)
+    sums.flags.writeable = False
+    return sums
+
+
+_KEY_BYTES = 1 << 18  # bound on the k! x batch x width x 8 bytes of keying scratch
+
+
+def _multiset_keys(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Cat key of each row of rows, an (M, w) array indexing the last axis
+    of table: _cat_weights for rows of columns, _basis_sums for rows of bases.
+
+    The key is the greatest over the k! coordinate permutations of the row's
+    packed count vector, carry-free while no column occurs more often than a
+    digit holds.  Of two multisets of one size, the one with more copies of
+    the first vector their counts differ on has the smaller sorted column
+    sequence, so keys descend where least sorted sequences ascend.
     """
-    m, width = cols.shape
-    seq = np.zeros((len(images), m, -(-width // 8) * 8), dtype=np.uint8)
-    seq[:, :, :width] = images[:, cols]
-    seq[:, :, :width].sort(axis=2)
-    words = seq.view(">u8").astype(np.uint64)  # (P, M, W)
-    # lexicographically least over the permutations, word by word among
-    # the permutations tied on the words before
-    least = [words[:, :, 0].min(axis=0)]
-    tied = words[:, :, 0] == least[0]
-    for w in range(1, words.shape[2]):
-        col = np.where(tied, words[:, :, w], ~np.uint64(0))
-        least.append(col.min(axis=0))
-        tied &= col == least[-1]
-    return list(zip(*(word.tolist() for word in least)))
+    keys = np.empty(len(rows), dtype=np.uint64)
+    step = max(1, _KEY_BYTES // (table.shape[0] * rows.shape[1] * 8))
+    for lo in range(0, len(rows), step):
+        table[:, rows[lo : lo + step].T].sum(axis=1).max(axis=0, out=keys[lo : lo + step])
+    return keys
 
 
-_CAT_BATCH = 1024  # multisets keyed per numpy batch; bounds the scratch memory
-
-
-def _cat_keys(k: int, t: int):
-    """Yield (key, combo) for every multiset of t-1 bases of F_2^k, in
-    combinations_with_replacement order of the basis indices, keyed in
-    numpy batches."""
-    bases, images = _cat_images(k)
-    columns, _ = _basis_arrays(k)
-    walk = combinations_with_replacement(range(len(bases)), t - 1)
-    for _ in range(0, comb(len(bases) + t - 2, t - 1), _CAT_BATCH):
-        combos = np.fromiter(
-            chain.from_iterable(islice(walk, _CAT_BATCH)), dtype=np.intp
-        ).reshape(-1, t - 1)
-        cols = columns[combos].reshape(len(combos), -1)
-        yield from zip(_multiset_keys(images, cols), combos.tolist())
-
-
-def _cat_first(k: int, t: int, allow_slow: bool) -> dict[tuple[int, ...], list[int]]:
-    """{key: combo} of the first multiset seen with each _cat_keys key,
-    behind enumerate_cat's guards."""
+def _cat_first(k: int, t: int, allow_slow: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, combos): each Cat key of t-1 bases of F_2^k, greatest first, and
+    its first multiset in combinations_with_replacement order, as basis
+    indices; behind enumerate_cat's guards."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if t < 2:
@@ -260,10 +263,31 @@ def _cat_first(k: int, t: int, allow_slow: bool) -> dict[tuple[int, ...], list[i
         raise Infeasible(
             f"k={k}, t={t}: {multisets} multisets of bases exceed cap {CAT_MULTISET_CAP}"
         )
-    first: dict[tuple[int, ...], list[int]] = {}
-    for key, combo in _cat_keys(k, t):
-        first.setdefault(key, combo)
-    return first
+    if t == 2:  # key the columns: a k! x bases sums table is 80 MB at k = 5
+        keys, first = np.unique(
+            _multiset_keys(_cat_weights(k, 1), _basis_arrays(k)[0]), return_index=True
+        )
+        return keys[::-1], first[::-1, None]
+    # a column occurs at most once per basis, so t-1 times in a multiset
+    sums = _basis_sums(k, (t - 1).bit_length())
+    step = max(1, _KEY_BYTES // (sums.shape[0] * (t - 1) * 8))
+    walk = combinations_with_replacement(range(len(bases)), t - 1)
+    keys = first = None
+    for _ in range(0, multisets, step):
+        combos = np.fromiter(
+            chain.from_iterable(islice(walk, step)), dtype=np.intp
+        ).reshape(-1, t - 1)
+        new, at = np.unique(_multiset_keys(sums, combos), return_index=True)
+        if keys is None:
+            keys, first = new, combos[at]
+            continue
+        # only keys no earlier batch had join, in key order
+        pos = np.searchsorted(keys, new)
+        fresh = keys[np.minimum(pos, len(keys) - 1)] != new
+        if fresh.any():
+            keys = np.insert(keys, pos[fresh], new[fresh])
+            first = np.insert(first, pos[fresh], combos[at[fresh]], axis=0)
+    return keys[::-1], first[::-1]
 
 
 def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
@@ -271,14 +295,17 @@ def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
 
     A class is determined by the multiset of the k(t-1) columns up to
     permuting the k coordinates, so classes are enumerated as multisets
-    of unordered bases and deduplicated by their _cat_keys key; the first
-    multiset seen with a key represents it.  Returns (count,
-    representatives) in key order; each representative is a tuple of
-    t-1 bases whose concatenation realizes the class.
+    of unordered bases and deduplicated by their Cat key, the greatest
+    over the k! coordinate permutations of the multiset's count vector
+    (copies of each nonzero vector, vector 1 first) packed into one
+    integer; the first multiset seen with a key represents it.  Returns
+    (count, representatives) greatest key first, the order of their least
+    sorted column sequences (see _multiset_keys); each representative is
+    a tuple of t-1 bases whose concatenation realizes the class.
     """
-    first = _cat_first(k, t, allow_slow)
+    _, first = _cat_first(k, t, allow_slow)
     bases, _ = _cat_images(k)
-    reps = [tuple(bases[bi] for bi in first[key]) for key in sorted(first)]
+    reps = [tuple(bases[bi] for bi in combo) for combo in first.tolist()]
     return len(reps), reps
 
 
@@ -384,13 +411,14 @@ def _classify_fast_t3(k: int):
     bases, _ = _cat_images(k)
     enc, bwt, vbits, vpairs = _basis_tables(k, bases)
 
-    # stage 1: classes of (I | B), numbered by their first basis; the
-    # t = 2 walk visits the bases in index order
+    # stage 1: classes of (I | B), numbered by their first basis, one
+    # canonical form per Cat key
+    keys = _multiset_keys(_cat_weights(k, 1), _basis_arrays(k)[0]).tolist()
     stage1: dict[tuple, int] = {}
-    orbit_cls: dict[tuple, int] = {}
+    orbit_cls: dict[int, int] = {}
     reps1: list[int] = []
     cls_of = np.zeros(len(bases), dtype=np.int64)
-    for key, (bi,) in _cat_keys(k, 2):
+    for bi, key in enumerate(keys):
         if key not in orbit_cls:
             form = canonical_form(_blocks_code(k, (bases[bi],))).form
             orbit_cls[key] = stage1.setdefault(form, len(reps1))
@@ -437,35 +465,26 @@ def _classify_fast_t3(k: int):
     ]
 
 
-def _rebased_keys(k: int, combos: np.ndarray):
-    """Yield (i, key): the Cat key of (I | B_a^-1 | B_a^-1 B_b for b != a)
-    for each row i of combos, the bases B_1 .. B_{t-1} of one Cat class,
-    and each block a, keyed in numpy batches."""
-    _, images = _cat_images(k)
+def _rebased_keys(k: int, combos: np.ndarray) -> np.ndarray:
+    """keys[i, a]: the Cat key of (I | B_a^-1 | B_a^-1 B_b for b != a) for
+    each row i of combos, the bases B_1 .. B_{t-1} of one Cat class, and
+    each block a."""
     columns, inverse = _basis_arrays(k)
-    t = combos.shape[1] + 1
+    m, r = combos.shape
     # moved[:, a, b] is B_b, and I where b = a; through B_a^-1 these give
     # B_a^-1 B_b, and B_a^-1 itself, the image of the identity block
-    diag = np.eye(t - 1, dtype=bool)[:, :, None]
+    diag = np.eye(r, dtype=bool)[:, :, None]
     unit = np.uint8(1) << np.arange(k, dtype=np.uint8)
-    step = max(1, _CAT_BATCH // (t - 1))
-    for lo in range(0, len(combos), step):
-        batch = combos[lo : lo + step]
-        moved = np.where(diag, unit, columns[batch][:, None])  # (M, a, b, k)
-        rebased = inverse[batch[:, :, None], moved.reshape(len(batch), t - 1, -1)]
-        keys = _multiset_keys(images, rebased.reshape(-1, rebased.shape[2]))
-        yield from zip(np.arange(lo, lo + len(batch)).repeat(t - 1).tolist(), keys)
+    moved = np.where(diag, unit, columns[combos][:, None])  # (M, a, b, k)
+    rebased = inverse[combos[:, :, None], moved.reshape(m, r, -1)]
+    keys = _multiset_keys(_cat_weights(k, r.bit_length()), rebased.reshape(m * r, -1))
+    return keys.reshape(m, r)
 
 
 def _orbit_roots(k: int, t: int) -> list[list[int]]:
     """The combo of the least Cat class, in key order, of each orbit that
     rebasing joins, roots in key order; enumerate_cat's guards apply."""
-    first = _cat_first(k, t, allow_slow=True)
-    keys = sorted(first)
-    combos = np.array([first[key] for key in keys], dtype=np.intp).reshape(len(keys), t - 1)
-    # the enumeration's dict now maps each key to its position
-    for i, key in enumerate(keys):
-        first[key] = i
+    keys, combos = _cat_first(k, t, allow_slow=True)
     root = list(range(len(keys)))
 
     def find(i: int) -> int:
@@ -474,8 +493,10 @@ def _orbit_roots(k: int, t: int) -> list[list[int]]:
         return i
 
     if len(keys) > 1:
-        for i, key in _rebased_keys(k, combos):
-            a, b = find(i), find(first[key])
+        # keys descend: count positions back from the end
+        at = len(keys) - 1 - np.searchsorted(keys[::-1], _rebased_keys(k, combos))
+        for i, j in enumerate(at.ravel().tolist()):
+            a, b = find(i // (t - 1)), find(j)
             root[max(a, b)] = min(a, b)
     return [combos[i].tolist() for i in range(len(keys)) if root[i] == i]
 

@@ -104,7 +104,6 @@ def test_criterion_03_cat_counts():
     verdict(3, ok, f"invertible-block class counts k=1..3: {counts}")
 
 
-@pytest.mark.slow
 def test_criterion_03_cat_k4():
     count, _ = enumerate_cat(4, allow_slow=True)
     ok = count == 4822

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import tracemalloc
 from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement, permutations
 from operator import xor
@@ -21,6 +22,8 @@ from tcis.classify import (
     _blocks_code,
     _cat_first,
     _cat_images,
+    _cat_weights,
+    _multiset_keys,
     _rebased_keys,
     canonical_form,
     cat_classes,
@@ -148,6 +151,22 @@ def reference_canonical(c):
     return repack(c, perm), perm
 
 
+@cache
+def permuted_bytes(k):
+    """One bytes.translate table per coordinate permutation of F_2^k."""
+    return [
+        bytes(sum(((v >> i) & 1) << perm[i] for i in range(k)) for v in range(256))
+        for perm in permutations(range(k))
+    ]
+
+
+def reference_key(k, columns):
+    """The byte-sorted Cat key: the least sorted column sequence over the
+    k! coordinate permutations."""
+    ms = bytes(columns)
+    return min(bytes(sorted(ms.translate(tab))) for tab in permuted_bytes(k))
+
+
 def reference_cat(k, t):
     """Cat classes by byte-translated multisets, one multiset at a time.
 
@@ -157,14 +176,9 @@ def reference_cat(k, t):
     bases = [
         b for b in combinations(range(1, 1 << k), k) if rank(BitMatrix(list(b), k)) == k
     ]
-    tabs = [
-        bytes(sum(((v >> i) & 1) << perm[i] for i in range(k)) for v in range(256))
-        for perm in permutations(range(k))
-    ]
     seen = {}
     for combo in combinations_with_replacement(range(len(bases)), t - 1):
-        ms = bytes(sorted(v for bi in combo for v in bases[bi]))
-        key = min(bytes(sorted(ms.translate(tab))) for tab in tabs)
+        key = reference_key(k, [v for bi in combo for v in bases[bi]])
         seen.setdefault(key, tuple(bases[bi] for bi in combo))
     reps = [seen[key] for key in sorted(seen)]
     return len(reps), reps
@@ -344,7 +358,6 @@ def test_basis_inverse_tables(k):
                 for y in inv] == list(range(1 << k))
 
 
-@pytest.mark.slow
 def test_cat_count_k4():
     assert enumerate_cat(4, allow_slow=True)[0] == 4822
 
@@ -362,7 +375,8 @@ def test_cat_matches_reference(k, t):
 
 @pytest.mark.parametrize("k,t", [(3, 4), (3, 5), (2, 6)])
 def test_cat_wide_keys(k, t):
-    # k(t-1) > 8 column bytes: keys span more than one 64-bit word
+    # k(t-1) > 8 columns, counts of up to t-1 in 2- or 3-bit digits of the
+    # packed key, against the oracle's sorted column sequences
     assert k * (t - 1) > 8
     assert enumerate_cat(k, t) == reference_cat(k, t)
 
@@ -370,6 +384,60 @@ def test_cat_wide_keys(k, t):
 @pytest.mark.slow
 def test_cat_matches_reference_k4():
     assert enumerate_cat(4, allow_slow=True) == reference_cat(4, 3)
+
+
+@given(st.data())
+def test_packed_keys_match_byte_keys(data):
+    # the packed key of multisets of r k-sets of vectors gives the byte
+    # oracle's equality classes, in reverse order
+    k, r = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    digits = r.bit_length()
+    if digits * ((1 << k) - 1) > 64:
+        with pytest.raises(Infeasible, match="> 64 bits"):
+            _cat_weights(k, digits)
+        return
+    kset = st.lists(st.integers(1, (1 << k) - 1), min_size=k, max_size=k, unique=True)
+    multiset = st.lists(kset, min_size=r, max_size=r).map(lambda s: sum(s, []))
+    sets = data.draw(st.lists(multiset, min_size=1, max_size=6))
+    # permuted copies make equal keys, r copies of one set the largest digit
+    perm = data.draw(st.permutations(range(k)))
+    sets += [[sum((v >> i & 1) << perm[i] for i in range(k)) for v in s] for s in sets]
+    sets.append(sets[0][:k] * r)
+    packed = _multiset_keys(_cat_weights(k, digits), np.array(sets, dtype=np.uint8))
+    packed = packed.tolist()
+    ref = [reference_key(k, s) for s in sets]
+    for a in range(len(sets)):
+        for b in range(len(sets)):
+            assert (packed[a] == packed[b]) == (ref[a] == ref[b])
+            assert (packed[a] > packed[b]) == (ref[a] < ref[b])
+
+
+def test_cat_keys_refuse_wide_counts():
+    # one basis of F_2^1 t-1 times: a count of t-1 needs 65 bits
+    with pytest.raises(Infeasible, match="65 > 64 bits"):
+        enumerate_cat(1, 2**64 + 1)
+
+
+def traced_peak(fn):
+    fn()  # fill the caches first
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cat_first_k4_memory():
+    # per-batch scratch and the 4,822 distinct keys, never a key for each of
+    # the 353,220 multisets (2.8 MB alone)
+    assert traced_peak(lambda: _cat_first(4, 3, allow_slow=True)) <= 1_500_000
+
+
+@pytest.mark.slow
+def test_cat_first_k5_memory():
+    # the 83,328 bases keyed in batches
+    assert traced_peak(lambda: _cat_first(5, 2, allow_slow=True)) <= 5_600_000
 
 
 def cat_classes_per_cat_class(k, t):
@@ -411,16 +479,17 @@ def test_rebasings_are_equivalent(seed):
     # the representative's canonical form
     rng = random.Random(seed)
     k, t = rng.choice([(k, t) for k in (1, 2, 3) for t in (2, 3, 4)] + [(4, 2), (4, 3)])
-    first = cat_first(k, t)
+    keys, combos = cat_first(k, t)
+    first = dict(zip(keys.tolist(), combos.tolist()))
     bases, _ = _cat_images(k)
-    combos = list(first.values())
-    picked = rng.sample(combos, min(3, len(combos)))
-    rebased = list(_rebased_keys(k, np.array(picked, dtype=np.intp)))
-    assert len(rebased) == len(picked) * (t - 1)
-    for i, key in rebased:
+    picked = rng.sample(combos.tolist(), min(3, len(combos)))
+    rebased = _rebased_keys(k, np.array(picked, dtype=np.intp))
+    assert rebased.shape == (len(picked), t - 1)
+    for i, row in enumerate(rebased.tolist()):
         rep = _blocks_code(k, [bases[bi] for bi in picked[i]])
-        other = _blocks_code(k, [bases[bi] for bi in first[key]])
-        assert canonical_form(other).form == canonical_form(rep).form
+        for key in row:
+            other = _blocks_code(k, [bases[bi] for bi in first[key]])
+            assert canonical_form(other).form == canonical_form(rep).form
 
 
 @pytest.mark.parametrize("k,t,calls", [(3, 3, 19), (4, 2, 35)])
