@@ -2,26 +2,29 @@
 
 The canonical form of a code is the lexicographically least level
 sequence: scanning canonical columns left to right, level l compares the
-sorted multiset of codeword prefixes on the first l columns.  A
-partition-refinement search with signature dominance finds it without
-touching all n! column orders; the result is the sorted codeword tuple
-in canonical column order, which two codes share exactly when one is a
-column permutation of the other.
+sorted multiset of codeword prefixes on the first l columns.  The result
+is the sorted codeword tuple in canonical column order, which two codes
+share exactly when one is a column permutation of the other.
 
-Signatures are read from the span of the chosen columns, not counted.
-After a prefix of rank r the refinement blocks are the cosets of the
-subcode that is zero on it, 2^(k-r) words each, in counting order of the
-r independent chosen columns, the first most significant.  A free column
-in their span is constant on every block, so its signature is a table
-entry picked by its expression in them, with a 0 on block 0; a column
-outside the span halves every block, so all of those share one larger
-signature.  Each node therefore takes every span column at once, least
-signature first and equal columns by index, then branches on the
-distinct columns outside the span, extending the span table with the one
-chosen.  The signature of every level is still recorded, so pruning and
-the first-leaf witness are those of the column-by-column search.  Only
-column orders are tracked; the form is packed once, from the winning
-order.
+The search reads level sequences off count vectors.  Take an ordered
+basis B = (b_1 .. b_k) of column values and let m_B(x) count the columns
+whose coordinates in B are x, b_1 in bit 0.  Sorting the columns by
+(coordinate, index) gives a column order whose level sequence depends on
+m_B alone: at rank r a column in the span of the first r basis columns
+splits no refinement block, and its signature is set by its coordinates,
+whose order is signature order, while a column outside that span halves
+every block and sorts after all of them.  So sequences compare as their
+count vectors do, read from x = 0 upward with more copies first, and the
+canonical form is that of the greatest count vector over ordered bases.
+
+The digits x with top bit r are the counts of b_(r+1) + span(b_1 .. b_r),
+so they are fixed once b_1 .. b_(r+1) are.  Of two bases that agree up to
+b_r, the one with the greater such digits has the greater count vector,
+whatever follows, so the depth-first search packs those 2^r digits of
+each candidate b_(r+1) into one integer and prunes every branch that
+scores below the best at its rank.  The witness order is that of the
+first leaf tying the best, candidates taken by first index; the tying
+leaves are the automorphisms up to swaps of equal columns.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ import numpy as np
 
 from .codes import LinearCode, is_self_orthogonal, min_distance, weight_distribution
 from .gf2 import BitMatrix, CertificateError, Echelon, Infeasible
-from .partition import t_cis_partition
+from .partition import _check_partition
 
 __all__ = [
     "CanonicalCode",
@@ -73,23 +76,9 @@ class CanonicalCode:
     aut_order: int
 
 
-@cache
-def _span_signatures(k: int) -> tuple:
-    """sigs[r][e]: block signature of the column whose expression in r chosen
-    independent columns is mask e, first chosen column in bit 0."""
-    return tuple(
-        tuple(
-            tuple(
-                (1 << k - r) * ((int(f"{j:0{r}b}"[::-1], 2) & e).bit_count() & 1)
-                for j in range(1 << r)
-            )
-            for e in range(1 << r)
-        )
-        for r in range(k + 1)
-    )
-
-
 def canonical_form(c: LinearCode) -> CanonicalCode:
+    """The greatest count vector's form, witness order and |PAut|, by a
+    depth-first search that scores one rank at a time (module docstring)."""
     n, k = c.n, c.k
     if n > CANONICAL_N_CAP or (1 << k) > CANONICAL_WORDS_CAP:
         raise Infeasible(
@@ -97,64 +86,53 @@ def canonical_form(c: LinearCode) -> CanonicalCode:
             f"(n <= {CANONICAL_N_CAP}, 2^k <= {CANONICAL_WORDS_CAP})"
         )
     gcol = c.gen.columns()
-    sigs = _span_signatures(k)
-    best_sig: list = [None] * (n + 1)
-    best_perm: list = [None, 0]  # first leaf under the current best_sig, leaves tying it
+    mult = [0] * (1 << k)
+    for g in gcol:
+        mult[g] += 1
+    width = n.bit_length()  # a digit holds any count up to n
+    best = [-1] * k  # best score per rank on the current best path
+    # vecs of the first leaf tying the best, and the leaves tying it
+    leaf: list = [[0], 1]
 
-    def improve(level: int, sig: tuple) -> bool:
-        # False when sig loses to the best level sequence found so far
-        best = best_sig[level]
-        if best is not None and sig > best:
-            return False
-        if best is None or sig < best:
-            best_sig[level] = sig
-            for deeper in range(level + 1, n + 1):
-                best_sig[deeper] = None
-            best_perm[:] = None, 0
-        return True
-
-    def rec(span: list[int], vecs: list[int], free: list[int], chosen: tuple[int, ...]):
-        # span[v] is the expression mask of vector v in the chosen columns,
-        # -1 outside their span, and vecs[e] the vector with mask e.  Masks
-        # compare like their signatures, which first differ on the block
-        # where only their top differing column is 1.
+    def rec(vecs: list[int], free: list[int]):
+        # vecs[x] is the vector with coordinates x in the chosen basis, first
+        # vector in bit 0; free lists the column values outside their span,
+        # by first index
         r = len(vecs).bit_length() - 1
-        # span columns have a 0 on block 0, so all of them come first
-        dep, rest = [], []
-        for col in free:
-            e = span[gcol[col]]
-            if e < 0:
-                rest.append(col)
-            else:
-                dep.append((e, col))
-        dep.sort()
-        for level, (e, _) in enumerate(dep, len(chosen) + 1):
-            if not improve(level, sigs[r][e]):
-                return
-        chosen += tuple(col for _, col in dep)
-        free = rest
-        if not free:
-            if best_perm[0] is None:
-                best_perm[0] = chosen
-            best_perm[1] += 1
+        scores = []
+        for g in free:
+            s = 0
+            for v in vecs:
+                s = s << width | mult[v ^ g]
+            scores.append(s)
+        top = max(scores)
+        if top < best[r]:
             return
-        if not improve(len(chosen) + 1, (1 << k - r - 1,) * (1 << r)):
+        if top > best[r]:
+            best[r] = top
+            best[r + 1 :] = [-1] * (k - r - 1)
+            leaf[:] = None, 0
+        ties = [g for g, s in zip(free, scores) if s == top]
+        if r + 1 == k:  # each tie completes a basis
+            if leaf[0] is None:
+                leaf[0] = vecs + [v ^ ties[0] for v in vecs]
+            leaf[1] += len(ties)
             return
-        # one branch per distinct column: the first of its copies, ascending
-        for col in sorted({gcol[col]: col for col in reversed(free)}.values()):
-            g = gcol[col]
+        for g in ties:
             ext = [v ^ g for v in vecs]
-            nxt = span[:]
-            for e, v in enumerate(ext, 1 << r):
-                nxt[v] = e
-            rec(nxt, vecs + ext, [f for f in free if f != col], chosen + (col,))
+            out = set(ext)
+            rec(vecs + ext, [h for h in free if h not in out])
 
-    rec([0] + [-1] * ((1 << k) - 1), [0], list(range(n)), ())
-    perm, leaves = best_perm
+    free = [g for g in dict.fromkeys(gcol) if g]
+    if free:
+        rec([0], free)
+    vecs, leaves = leaf
+    coords = {v: x for x, v in enumerate(vecs)}
+    perm = tuple(sorted(range(n), key=lambda j: (coords[gcol[j]], j)))
     # canonical column 0 is the most significant bit of each packed word
     form = c.gen.take_columns(perm[::-1]).vec_mul_table()
     # tying leaves are the automorphisms up to swaps of identical columns
-    aut_order = leaves * prod(map(factorial, map(gcol.count, set(gcol))))
+    aut_order = leaves * prod(map(factorial, mult))
     return CanonicalCode(n, k, tuple(sorted(form)), perm, aut_order)
 
 
@@ -548,11 +526,14 @@ def classify_tcis(k: int, t: int = 3, allow_slow: bool = False):
         reps = [code for _, code in cat_classes(k, t)]
 
     counts: dict[int, list[int]] = {}
+    blocks = [tuple(range(a * k, (a + 1) * k)) for a in range(t)]
     for i, code in enumerate(reps):
-        if not t_cis_partition(code, t).is_partition:
+        try:
+            _check_partition(code, t, blocks)
+        except CertificateError as err:
             raise CertificateError(
-                f"class {i} of [{t * k},{k}] has no {t}-CIS partition"
-            )
+                f"class {i} of [{t * k},{k}] has no {t}-CIS partition: {err}"
+            ) from err
         d = min_distance(code)
         if d < t:
             raise CertificateError(f"class {i} of [{t * k},{k}] has distance {d} < {t}")

@@ -192,7 +192,7 @@ def test_criterion_08_mass_formula():
     # the class sizes p(C) (k!)^t / |PAut(C)| of the classified codes must
     # add up to the number of systematic codes, |GL(k,2)|^(t-1)
     results = {}
-    for k, t in ((1, 3), (2, 3), (2, 2), (3, 2), (3, 3), (4, 2)):
+    for k, t in ((1, 3), (2, 3), (2, 2), (3, 2), (3, 3), (4, 2), (3, 4), (4, 3)):
         rep = mass_formula_check(k, t)
         results[(k, t)] = (len(rep.class_sizes), sum(rep.class_sizes), gl2_size(k) ** (t - 1))
     ok = all(total == power for _, total, power in results.values())

@@ -1,11 +1,15 @@
 """Tests for canonical forms, invertible-block classes, and classification."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from functools import cache, reduce
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from operator import xor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +38,7 @@ from tcis.classify import (
 )
 from tcis.codes import LinearCode, is_self_orthogonal, min_distance
 from tcis.gf2 import BitMatrix, CertificateError, Infeasible, rank
-from tcis.partition import Violation, t_cis_partition
+from tcis.partition import t_cis_partition
 
 
 def brute_form(c):
@@ -281,6 +285,21 @@ def test_canonical_caps():
     with pytest.raises(Infeasible):
         canonical_form(tall)
     assert CANONICAL_N_CAP == 15
+
+
+def test_canonical_digits_hold_counts_past_15(monkeypatch, rng):
+    # score digits are n.bit_length() bits wide.  Below n = 32 at most one
+    # column value has 16 copies, and it is always the first basis vector,
+    # whose count only ever leads a score.  With 16 to 19 copies of each
+    # nonzero vector of F_2^2 they also fill lower digits, where 4-bit
+    # digits would carry into the next (18 of these 64 codes would differ)
+    monkeypatch.setattr(tcis.classify, "CANONICAL_N_CAP", 63)
+    for counts in product(range(16, 20), repeat=3):
+        cols = [v for v, m in zip((1, 2, 3), counts) for _ in range(m)]
+        rng.shuffle(cols)
+        c = LinearCode(from_columns(2, cols))
+        cf = canonical_form(c)
+        assert (cf.form, cf.perm) == reference_canonical(c)
 
 
 def test_equivalent_shape_mismatch():
@@ -634,13 +653,52 @@ def test_basis_sets_pinned():
     )
 
 
-def test_classify_certificate_failure_raises(monkeypatch):
-    def no_partition(code, t):
-        return Violation(tuple(range(code.n)), code.k, t)
+def with_singular_block(cat_classes):
+    """cat_classes with the last column of class 1 copied from the one
+    before it: that class's last block is singular, while its identity block
+    keeps the code's rank."""
 
-    monkeypatch.setattr(tcis.classify, "t_cis_partition", no_partition)
-    with pytest.raises(CertificateError, match="no 3-CIS partition"):
+    def patched(k, t):
+        classes = cat_classes(k, t)
+        cf, code = classes[1]
+        cols = code.gen.columns()
+        cols[-1] = cols[-2]
+        classes[1] = (cf, LinearCode(from_columns(k, cols)))
+        return classes
+
+    return patched
+
+
+SINGULAR_BLOCK = """
+import tcis.classify
+from tcis.gf2 import CertificateError
+from test_classify import with_singular_block
+
+if __debug__:
+    raise SystemExit("assertions are still on")
+tcis.classify.cat_classes = with_singular_block(tcis.classify.cat_classes)
+try:
+    tcis.classify.classify_tcis(2)
+except CertificateError as err:
+    print(err)
+"""
+
+
+def test_classify_certificate_failure_raises(monkeypatch):
+    # a representative whose own blocks are no partition is refused, also
+    # when python -O strips assert statements
+    monkeypatch.setattr(
+        tcis.classify, "cat_classes", with_singular_block(tcis.classify.cat_classes)
+    )
+    with pytest.raises(CertificateError, match=r"class 1 of \[6,2\] has no 3-CIS partition"):
         classify_tcis(2)
+    tests = Path(__file__).resolve().parent
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", SINGULAR_BLOCK],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])},
+    ).stdout
+    assert out.startswith("class 1 of [6,2] has no 3-CIS partition")
 
 
 def test_methods_agree_small():
@@ -653,13 +711,17 @@ def test_methods_agree_small():
         ], (k, t)
 
 
-def test_classify_reps_are_valid(rng):
-    reps, _ = classify_tcis(3)
-    for c in reps:
-        assert (c.n, c.k) == (9, 3)
-        assert t_cis_partition(c, 3).is_partition
-        assert min_distance(c) >= 3
+def test_classify_reps_are_valid(classification, rng):
+    # classify_tcis re-checks each representative's own blocks; the matroid
+    # walk confirms every one independently
+    for k, t in [(k, t) for k in (1, 2, 3) for t in (2, 3)] + [(4, 2)]:
+        reps, _ = classification(k, t)
+        for c in reps:
+            assert (c.n, c.k) == (t * k, k)
+            assert t_cis_partition(c, t).is_partition
+            assert min_distance(c) >= t
     # class invariants survive a coordinate shuffle
+    reps, _ = classification(3, 3)
     for c in rng.sample(reps, 4):
         s = shuffled(rng, c)
         assert min_distance(s) == min_distance(c)
