@@ -62,7 +62,10 @@ print()
 print(class_table_text(rows))
 
 # Length 12 follows the same two layers: classify_tcis(4) gives 361
-# classes in a few seconds.  At length 15, classify_tcis(5,
-# allow_slow=True) gives 29372 classes in about four minutes: there the
-# Cat layer classifies the first block only, one canonical form per
-# orbit of bases, and the second block is deduplicated by invariant keys.
+# classes in about a second, and classify_tcis(k, t) takes any t up to
+# length 15, e.g. 136 classes at k = 3, t = 5.  At k = 5, t = 3 the
+# multisets of bases are too many for the Cat layer, and
+# classify_tcis(5, allow_slow=True) gives 29372 classes in about four
+# minutes: the Cat layer classifies the first block only, one canonical
+# form per orbit of bases, and the second block is deduplicated by
+# invariant keys.

@@ -305,9 +305,6 @@ class LeakageFunction:
             raise ValueError("exponent must be nonnegative")
         return LeakageFunction(self.k, (v**p for v in self.values))
 
-    def is_constant(self) -> bool:
-        return all(v == self.values[0] for v in self.values)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LeakageFunction):
             return NotImplemented

@@ -37,7 +37,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .codes import LinearCode, is_self_orthogonal, min_distance, weight_distribution
-from .gf2 import BitMatrix, CertificateError, Echelon, Infeasible
+from .gf2 import BitMatrix, CertificateError, Echelon, Infeasible, gl2_size
 from .partition import _check_partition
 
 __all__ = [
@@ -220,27 +220,30 @@ def _multiset_keys(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _cat_first(k: int, t: int, allow_slow: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(keys, combos): each Cat key of t-1 bases of F_2^k, greatest first, and
-    its first multiset in combinations_with_replacement order, as basis
-    indices; behind enumerate_cat's guards."""
+def _cat_refusal(k: int, t: int, forms: bool) -> None:
+    """Refuse what the Cat route cannot answer, before any table is built:
+    k < 1 or t < 2 as domain errors; when canonical forms are to be taken,
+    lengths tk past CANONICAL_N_CAP; and more than CAT_MULTISET_CAP
+    multisets of t-1 of the b = |GL(k,2)|/k! unordered bases of F_2^k."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if t < 2:
-        raise ValueError("need t >= 2")
-    slow = k == 4 or (k, t) == (5, 2)
-    if (k > 4 and not slow) or (slow and not allow_slow):
-        raise Infeasible(
-            f"k={k} Cat enumeration needs the long-running opt-in"
-            if slow
-            else f"k={k} exceeds the Cat enumeration guard"
-        )
-    bases, _ = _cat_images(k)
-    multisets = comb(len(bases) + t - 2, t - 1)
+        raise ValueError("t must be at least 2")
+    if forms and t * k > CANONICAL_N_CAP:
+        raise Infeasible(f"length {t * k} exceeds canonicalization cap {CANONICAL_N_CAP}")
+    multisets = comb(gl2_size(k) // factorial(k) + t - 2, t - 1)
     if multisets > CAT_MULTISET_CAP:
         raise Infeasible(
             f"k={k}, t={t}: {multisets} multisets of bases exceed cap {CAT_MULTISET_CAP}"
         )
+
+
+def _cat_first(k: int, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(keys, combos): each Cat key of t-1 bases of F_2^k, greatest first, and
+    its first multiset in combinations_with_replacement order, as basis
+    indices; behind _cat_refusal."""
+    bases, _ = _cat_images(k)
+    multisets = comb(len(bases) + t - 2, t - 1)
     if t == 2:  # key the columns: a k! x bases sums table is 80 MB at k = 5
         keys, first = np.unique(
             _multiset_keys(_cat_weights(k, 1), _basis_arrays(k)[0]), return_index=True
@@ -268,7 +271,7 @@ def _cat_first(k: int, t: int, allow_slow: bool) -> tuple[np.ndarray, np.ndarray
     return keys[::-1], first[::-1]
 
 
-def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
+def enumerate_cat(k: int, t: int = 3):
     """Invertible-block concatenations up to row and column permutation.
 
     A class is determined by the multiset of the k(t-1) columns up to
@@ -279,9 +282,11 @@ def enumerate_cat(k: int, t: int = 3, allow_slow: bool = False):
     integer; the first multiset seen with a key represents it.  Returns
     (count, representatives) greatest key first, the order of their least
     sorted column sequences (see _multiset_keys); each representative is
-    a tuple of t-1 bases whose concatenation realizes the class.
+    a tuple of t-1 bases whose concatenation realizes the class.  Refuses
+    more than CAT_MULTISET_CAP multisets, and with it every k >= 6.
     """
-    _, first = _cat_first(k, t, allow_slow)
+    _cat_refusal(k, t, forms=False)
+    _, first = _cat_first(k, t)
     bases, _ = _cat_images(k)
     reps = [tuple(bases[bi] for bi in combo) for combo in first.tolist()]
     return len(reps), reps
@@ -461,8 +466,8 @@ def _rebased_keys(k: int, combos: np.ndarray) -> np.ndarray:
 
 def _orbit_roots(k: int, t: int) -> list[list[int]]:
     """The combo of the least Cat class, in key order, of each orbit that
-    rebasing joins, roots in key order; enumerate_cat's guards apply."""
-    keys, combos = _cat_first(k, t, allow_slow=True)
+    rebasing joins, roots in key order; behind _cat_refusal."""
+    keys, combos = _cat_first(k, t)
     root = list(range(len(keys)))
 
     def find(i: int) -> int:
@@ -490,8 +495,10 @@ def cat_classes(k: int, t: int) -> list[tuple[CanonicalCode, LinearCode]]:
     appended to the identity and the results deduplicated by canonical
     form.  The representative of a class is its first Cat class in key
     order, as without the joining: every joined class is equivalent to
-    its root, and the root precedes it.  enumerate_cat's guards apply.
+    its root, and the root precedes it.  Refuses lengths past
+    CANONICAL_N_CAP and more than CAT_MULTISET_CAP multisets of bases.
     """
+    _cat_refusal(k, t, forms=True)
     roots = _orbit_roots(k, t)
     bases, _ = _cat_images(k)
     forms: dict[tuple, tuple[CanonicalCode, LinearCode]] = {}
@@ -505,22 +512,11 @@ def cat_classes(k: int, t: int) -> list[tuple[CanonicalCode, LinearCode]]:
 def classify_tcis(k: int, t: int = 3, allow_slow: bool = False):
     """All inequivalent t-CIS codes of length tk, plus the summary row.
 
-    The classes are those of cat_classes, except at k = 5, t = 3, where
-    Cat enumeration is out of reach and the two-stage growth of
-    _classify_fast_t3 runs instead.
+    The classes are those of cat_classes, with its refusals.  At k = 5,
+    t = 3, past its multiset cap, allow_slow runs the two-stage growth of
+    _classify_fast_t3 instead, which takes minutes.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if t not in (2, 3):
-        raise ValueError("classification is implemented for t in {2, 3}")
-    if k > 5 or (k == 5 and not allow_slow):
-        raise Infeasible(
-            f"k={k} classification needs the long-running opt-in"
-            if k == 5
-            else f"k={k} exceeds the classification guard"
-        )
-
-    if (k, t) == (5, 3):
+    if allow_slow and (k, t) == (5, 3):
         reps = _classify_fast_t3(k)
     else:
         reps = [code for _, code in cat_classes(k, t)]

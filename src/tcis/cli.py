@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("k", type=int)
     p.add_argument("t", type=int, nargs="?", default=3)
     p.add_argument("--allow-slow", action="store_true",
-                   help="permit the long-running sizes")
+                   help="permit the length-15 census, k = 5, t = 3")
     p.add_argument("--out", metavar="DIR",
                    help="write representatives and the table row to DIR")
     _add_common(p)

@@ -77,9 +77,6 @@ class LinearCode:
         """All 2^k codewords, indexed by message int."""
         return self.gen.vec_mul_table()
 
-    def encode(self, message: int) -> int:
-        return self.gen.vec_mul(message)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearCode):
             return NotImplemented

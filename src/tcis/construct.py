@@ -13,12 +13,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .classify import CANONICAL_N_CAP, cat_classes
+from .classify import cat_classes
 from .codes import LinearCode
 from .gf2 import (
     BitMatrix,
     CertificateError,
-    Infeasible,
+    gl2_size,
     invert,
     parity_dot,
     poly_gcd,
@@ -39,10 +39,7 @@ __all__ = [
     "Bounds",
     "bounds",
     "m_count",
-    "MASS_CAP",
 ]
-
-MASS_CAP = 10**6
 
 
 def poly_from_octal(token: str) -> int:
@@ -203,14 +200,6 @@ def subtract(c: LinearCode, t: int, row: int) -> LinearCode:
     return LinearCode(trimmed.take_columns(keep))
 
 
-def gl2_size(k: int) -> int:
-    """Order of the group of invertible k x k matrices over GF(2)."""
-    out = 1
-    for i in range(k):
-        out *= (1 << k) - (1 << i)
-    return out
-
-
 def _splittings(c: LinearCode, t: int) -> int:
     """Ordered splittings of the columns of c into t information sets.
 
@@ -254,22 +243,14 @@ def mass_formula_check(k: int, t: int) -> MassReport:
     sets) two ways, class C holds p(C) (k!)^t / |PAut(C)| of the
     |GL(k,2)|^(t-1) codes (I | A_1 | .. | A_{t-1}), p(C) its splittings.
     The sizes of the classes cat_classes lists must be whole and sum to
-    that total, else CertificateError.  MASS_CAP bounds the splitting
-    count's work, C(tk, k) per column set of size jk, j = 0..t.
+    that total, else CertificateError.  Bad k or t and sizes past the
+    length or multiset cap are refused by cat_classes, before the total
+    is worked out.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    n = t * k
-    if n > CANONICAL_N_CAP:
-        raise Infeasible(f"length {n} exceeds canonicalization cap {CANONICAL_N_CAP}")
-    work = math.comb(n, k) * sum(math.comb(n, j * k) for j in range(t + 1))
-    if work > MASS_CAP:
-        raise Infeasible(f"k={k}, t={t}: {work} splitting-count steps exceed cap {MASS_CAP}")
+    classes = cat_classes(k, t)
     total = gl2_size(k) ** (t - 1)
     sizes = []
-    for cf, code in cat_classes(k, t):
+    for cf, code in classes:
         size, rest = divmod(_splittings(code, t) * math.factorial(k) ** t, cf.aut_order)
         if rest:
             raise CertificateError(f"class size of {cf.form} is not whole")

@@ -24,8 +24,7 @@ __all__ = [
     "vec_to_str",
     "rank",
     "invert",
-    "poly_degree",
-    "poly_mul",
+    "gl2_size",
     "poly_divmod",
     "poly_mod",
     "poly_gcd",
@@ -261,13 +260,12 @@ def invert(m: BitMatrix) -> BitMatrix | None:
     return BitMatrix([span.express(1 << i) for i in range(m.ncols)], m.ncols)
 
 
-def poly_degree(p: int) -> int | None:
-    """Degree of a GF(2) polynomial, None for the zero polynomial."""
-    if p < 0:
-        raise ValueError("negative polynomial encoding")
-    if p == 0:
-        return None
-    return p.bit_length() - 1
+def gl2_size(k: int) -> int:
+    """Order of the group of invertible k x k matrices over GF(2)."""
+    out = 1
+    for i in range(k):
+        out *= (1 << k) - (1 << i)
+    return out
 
 
 def _check_poly(p: int) -> None:
@@ -275,18 +273,6 @@ def _check_poly(p: int) -> None:
         raise ValueError("negative polynomial encoding")
     if p.bit_length() - 1 > POLY_DEGREE_CAP:
         raise Infeasible(f"polynomial degree exceeds cap {POLY_DEGREE_CAP}")
-
-
-def poly_mul(p: int, q: int) -> int:
-    _check_poly(p)
-    _check_poly(q)
-    acc = 0
-    while q:
-        i = (q & -q).bit_length() - 1
-        acc ^= p << i
-        q &= q - 1
-    _check_poly(acc)
-    return acc
 
 
 def poly_divmod(p: int, q: int) -> tuple[int, int]:

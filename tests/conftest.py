@@ -69,6 +69,31 @@ def mul_vec(m: BitMatrix, v: int) -> int:
     return sum(parity_dot(r, v) << i for i, r in enumerate(m.rows))
 
 
+def encode(c: LinearCode, message: int) -> int:
+    """The codeword of message, bit i choosing generator row i."""
+    return c.gen.vec_mul(message)
+
+
+def is_constant(f) -> bool:
+    """Whether the leakage function f takes one value everywhere."""
+    return all(v == f.values[0] for v in f.values)
+
+
+def poly_degree(p: int) -> int | None:
+    """Degree of a GF(2) polynomial, None for the zero polynomial."""
+    return p.bit_length() - 1 if p else None
+
+
+def poly_mul(p: int, q: int) -> int:
+    """Carry-less product of two GF(2) polynomials."""
+    acc = 0
+    while q:
+        i = (q & -q).bit_length() - 1
+        acc ^= p << i
+        q &= q - 1
+    return acc
+
+
 def solve_in_span(basis: BitMatrix, target: int) -> int | None:
     """Coefficient mask of target over the columns of basis, bit j for
     column j, or None outside their span; dependent columns raise

@@ -105,9 +105,9 @@ def test_criterion_03_cat_counts():
 
 
 def test_criterion_03_cat_k4():
-    count, _ = enumerate_cat(4, allow_slow=True)
+    count, _ = enumerate_cat(4)
     ok = count == 4822
-    verdict(3, ok, f"invertible-block class count k=4: {count} (opt-in)")
+    verdict(3, ok, f"invertible-block class count k=4: {count}")
 
 
 def test_criterion_04_optimal_class_uniqueness(classification):
@@ -282,8 +282,8 @@ def test_criterion_12_scale_guards():
         lambda: min_distance(LinearCode(BitMatrix.identity(29))),
         lambda: walsh_table(BooleanPermutation.identity(13)),
         lambda: canonical_form(LinearCode(BitMatrix([(1 << 16) - 1], 16))),
-        lambda: enumerate_cat(5, allow_slow=True),
-        lambda: classify_tcis(6, allow_slow=True),
+        lambda: enumerate_cat(5),
+        lambda: classify_tcis(6),
     ):
         try:
             fn()

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -37,6 +38,7 @@ from tcis.classify import (
     equivalent,
 )
 from tcis.codes import LinearCode, is_self_orthogonal, min_distance
+from tcis.construct import mass_formula_check
 from tcis.gf2 import BitMatrix, CertificateError, Infeasible, rank
 from tcis.partition import t_cis_partition
 
@@ -337,20 +339,21 @@ def test_cat_reps_are_independent_blocks():
 
 
 def test_cat_guards():
-    with pytest.raises(Infeasible):
-        enumerate_cat(4)
-    with pytest.raises(Infeasible, match="k=5 exceeds"):
-        enumerate_cat(5, allow_slow=True)
-    # (5, 2) runs only behind the opt-in, like k = 4
-    with pytest.raises(Infeasible, match="k=5 Cat enumeration needs"):
-        enumerate_cat(5, 2)
-    with pytest.raises(Infeasible, match="k=6 exceeds"):
-        enumerate_cat(6, 2, allow_slow=True)
-    # the multiset count caps t: 1,203,322,288 at (3, 12), 99,137,080 at (4, 4)
+    assert enumerate_cat(4)[0] == 4822
+    assert enumerate_cat(5, 2)[0] == 885
+    # the multiset count C(b+t-2, t-1), b = |GL(k,2)|/k!, is the one limit,
+    # worked out before any table is built: 3,471,819,456 at (5, 3),
+    # 27,998,208 at (6, 2), whose 67 M combinations of columns stay unlisted
+    for k, t, count in [(5, 3, 3471819456), (6, 2, 27998208)]:
+        start = time.perf_counter()
+        with pytest.raises(Infeasible, match=f"{count} multisets"):
+            enumerate_cat(k, t)
+        assert time.perf_counter() - start < 1.0
+    # it caps t too: 1,203,322,288 at (3, 12), 99,137,080 at (4, 4)
     with pytest.raises(Infeasible, match="1203322288 multisets"):
         enumerate_cat(3, 12)
     with pytest.raises(Infeasible, match="99137080 multisets"):
-        enumerate_cat(4, 4, allow_slow=True)
+        enumerate_cat(4, 4)
     with pytest.raises(ValueError):
         enumerate_cat(2, t=1)
     for k in (0, -1):
@@ -378,7 +381,7 @@ def test_basis_inverse_tables(k):
 
 
 def test_cat_count_k4():
-    assert enumerate_cat(4, allow_slow=True)[0] == 4822
+    assert enumerate_cat(4)[0] == 4822
 
 
 CAT_SIZES = [(k, t) for k in (1, 2, 3) for t in (2, 3, 4)] + [
@@ -389,7 +392,7 @@ CAT_SIZES = [(k, t) for k in (1, 2, 3) for t in (2, 3, 4)] + [
 
 @pytest.mark.parametrize("k,t", CAT_SIZES)
 def test_cat_matches_reference(k, t):
-    assert enumerate_cat(k, t, allow_slow=True) == reference_cat(k, t)
+    assert enumerate_cat(k, t) == reference_cat(k, t)
 
 
 @pytest.mark.parametrize("k,t", [(3, 4), (3, 5), (2, 6)])
@@ -402,7 +405,7 @@ def test_cat_wide_keys(k, t):
 
 @pytest.mark.slow
 def test_cat_matches_reference_k4():
-    assert enumerate_cat(4, allow_slow=True) == reference_cat(4, 3)
+    assert enumerate_cat(4) == reference_cat(4, 3)
 
 
 @given(st.data())
@@ -450,20 +453,20 @@ def traced_peak(fn):
 def test_cat_first_k4_memory():
     # per-batch scratch and the 4,822 distinct keys, never a key for each of
     # the 353,220 multisets (2.8 MB alone)
-    assert traced_peak(lambda: _cat_first(4, 3, allow_slow=True)) <= 1_500_000
+    assert traced_peak(lambda: _cat_first(4, 3)) <= 1_500_000
 
 
 @pytest.mark.slow
 def test_cat_first_k5_memory():
     # the 83,328 bases keyed in batches
-    assert traced_peak(lambda: _cat_first(5, 2, allow_slow=True)) <= 5_600_000
+    assert traced_peak(lambda: _cat_first(5, 2)) <= 5_600_000
 
 
 def cat_classes_per_cat_class(k, t):
     """cat_classes with one canonical form per Cat class: every Cat
     representative appended to the identity, deduplicated by form, the
     first in key order representing its class."""
-    _, cat_reps = enumerate_cat(k, t, allow_slow=True)
+    _, cat_reps = enumerate_cat(k, t)
     forms = {}
     for blocks in cat_reps:
         code = _blocks_code(k, blocks)
@@ -489,7 +492,7 @@ def test_cat_classes_match_per_cat_class(k, t):
 
 @cache
 def cat_first(k, t):
-    return _cat_first(k, t, allow_slow=True)
+    return _cat_first(k, t)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -746,18 +749,49 @@ def test_classify_two_factor():
         assert min_distance(c) >= 2
 
 
+# classify_tcis past t = 3: classes, |GL(k,2)|^(t-1), and by_d, (d, (so, other))
+PAST_T3_ROWS = {
+    (2, 4): (4, 216, ((4, (2, 1)), (5, (0, 1)))),
+    (2, 5): (5, 1296, ((5, (0, 3)), (6, (1, 1)))),
+    (2, 6): (7, 7776, ((6, (2, 2)), (7, (0, 2)), (8, (1, 0)))),
+    (2, 7): (8, 46656, ((7, (0, 4)), (8, (2, 1)), (9, (0, 1)))),
+    (3, 4): (57, 4741632, ((4, (5, 27)), (5, (0, 19)), (6, (1, 5)))),
+    (3, 5): (136, 796594176, ((5, (0, 55)), (6, (2, 59)), (7, (0, 17)), (8, (1, 2)))),
+}
+
+
+@pytest.mark.parametrize("k,t", sorted(PAST_T3_ROWS))
+def test_classify_past_t3(k, t):
+    # the mass formula certifies the class count; the matroid walk confirms
+    # every representative independently
+    classes, power, by_d = PAST_T3_ROWS[k, t]
+    reps, row = classify_tcis(k, t)
+    assert (row.length, row.by_d, len(reps)) == (t * k, by_d, classes)
+    rep = mass_formula_check(k, t)
+    assert rep.consistent and rep.group_power == power
+    assert len(rep.class_sizes) == classes
+    for c in reps:
+        assert t_cis_partition(c, t).is_partition
+
+
 def test_classify_guards():
-    with pytest.raises(ValueError):
-        classify_tcis(2, t=4)
-    with pytest.raises(Infeasible):
-        classify_tcis(5)
-    with pytest.raises(Infeasible):
-        classify_tcis(5, 2)
-    with pytest.raises(Infeasible):
-        classify_tcis(6, allow_slow=True)
+    # the Cat route's limits: the multiset count at (5, 3) without the
+    # opt-in, the length cap at (6, 3) and (3, 7)
+    for k, t, message in [
+        (5, 3, "3471819456 multisets"),
+        (6, 3, "length 18 exceeds"),
+        (3, 7, "length 21 exceeds"),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(Infeasible, match=message):
+            classify_tcis(k, t)
+        assert time.perf_counter() - start < 1.0
+    assert classify_tcis(2, t=4)[1].total == 4
     for k in (0, -1):
         with pytest.raises(ValueError, match="k must be at least 1"):
             classify_tcis(k)
+    with pytest.raises(ValueError, match="t must be at least 2"):
+        classify_tcis(2, t=1)
 
 
 def test_class_table_row_cells():

@@ -170,6 +170,12 @@ def test_classify_guard_exit(capsys):
     assert rc == 3 and out == "" and err.startswith("infeasible:")
 
 
+def test_classify_past_t3(capsys):
+    rc, obj, _ = jrun(capsys, ["classify", "3", "4"])
+    assert rc == 0
+    assert (obj["k"], obj["t"], obj["total"]) == (3, 4, 57)
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -244,17 +250,26 @@ def test_masscheck(capsys):
     }
 
 
-@pytest.mark.parametrize("k,t", [(3, 5), (2, 8), (6, 2)])
+# each refusal names the limit it hits
+MASSCHECK_REFUSALS = {
+    (5, 3): "3471819456 multisets",
+    (2, 8): "length 16 exceeds",
+    (6, 2): "27998208 multisets",
+}
+
+
+@pytest.mark.parametrize("k,t", list(MASSCHECK_REFUSALS))
 def test_masscheck_refuses_at_once(capsys, k, t):
     start = time.perf_counter()
     rc, out, err = run(capsys, ["masscheck", str(k), str(t)])
     assert time.perf_counter() - start < 1.0
     assert rc == 3 and out == "" and err.startswith("infeasible:")
+    assert MASSCHECK_REFUSALS[k, t] in err
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize(
-    "k,t,classes,total", [(4, 3, 361, 406_425_600), (5, 2, 195, 9_999_360)]
+    "k,t,classes,total",
+    [pytest.param(4, 3, 361, 406_425_600, marks=pytest.mark.slow), (5, 2, 195, 9_999_360)],
 )
 def test_masscheck_long_running_sizes(capsys, k, t, classes, total):
     rc, obj, _ = jrun(capsys, ["masscheck", str(k), str(t)])
@@ -275,29 +290,32 @@ def masscheck_digest(capsys, sizes):
 
 
 # SHA-256 of masscheck over k = 1..5, t = 2..15, recorded with one
-# canonical form per Cat class; the two long-running sizes run under slow
-MASSCHECK_SLOW_DIGESTS = {
+# canonical form per Cat class; these two sizes are pinned on their own
+MASSCHECK_DIGESTS = {
     (4, 3): "0b72efffcb643d392ad559befc39bdbd626bd75f1e64b62c288176edf7ac2548",
     (5, 2): "e3d4df0a78b5e7833dd0828d42d98d7b652f906ef42279fdcaa545f34d6a2734",
 }
 
 
 def test_masscheck_pinned(capsys):
+    # (3, 5) is pinned by test_classify_past_t3, (5, 3) by
+    # test_masscheck_refuses_at_once
     sizes = [
         (k, t)
         for k in range(1, 6)
         for t in range(2, 16)
-        if (k, t) not in MASSCHECK_SLOW_DIGESTS
+        if (k, t) not in {(4, 3), (5, 2), (3, 5), (5, 3)}
     ]
     assert masscheck_digest(capsys, sizes) == (
-        "2bc1ec286d533809f17611798fb0404072ee85ec8ef167415f570910dad7bbb2"
+        "63375fa45576ca81a66703f8a21b1db57b808c26097e78adf35a36450e1efe54"
     )
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("k,t", sorted(MASSCHECK_SLOW_DIGESTS))
+@pytest.mark.parametrize(
+    "k,t", [pytest.param(4, 3, marks=pytest.mark.slow), (5, 2)]
+)
 def test_masscheck_pinned_long_running(capsys, k, t):
-    assert masscheck_digest(capsys, [(k, t)]) == MASSCHECK_SLOW_DIGESTS[k, t]
+    assert masscheck_digest(capsys, [(k, t)]) == MASSCHECK_DIGESTS[k, t]
 
 
 def test_z4_report(capsys, data_dir):

@@ -49,3 +49,18 @@ def test_all_exports_resolve():
         if not hasattr(m, name)
     ]
     assert missing == []
+
+
+def test_test_only_helpers_stay_out():
+    # these have no caller in the package and live in tests/conftest.py
+    moved = {
+        "encode", "is_constant", "poly_degree", "poly_mul",
+        "hstack", "mul_vec", "solve_in_span",
+    }
+    found = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in moved
+    ]
+    assert found == []
