@@ -1,18 +1,20 @@
 """Vectorial Boolean permutations, Walsh spectra, and masking analysis.
 
-A permutation of F_2^k is a lookup table; linear permutations carry their
-matrix alongside.  The Walsh table W(a, b) = sum_x (-1)^(a.x + b.F(x)) is
-H.S, where H is the Sylvester-Hadamard matrix and S the sign matrix
-S[x, b] = (-1)^(F(x).b), whose row x is row F(x) of H: one fast transform,
-exact in int16.  Arrays larger than a cache-sized chunk are transformed
-blockwise, H_n = H_hi (x) H_lo: the low stages inside chunks of whole
-rows, the high stages inside column slabs, so every stage runs in cache.
+A permutation of F_2^k is a lookup table; a linear one carries its matrix
+and builds the table only when asked.  The Walsh table W(a, b) =
+sum_x (-1)^(a.x + b.F(x)) is H.S, where H is the Sylvester-Hadamard
+matrix and S the sign matrix S[x, b] = (-1)^(F(x).b), whose row x is row
+F(x) of H: one fast transform, exact in int16.  Arrays larger than a
+cache-sized chunk are transformed blockwise, H_n = H_hi (x) H_lo: the low
+stages inside chunks of whole rows, the high stages inside column slabs,
+so every stage runs in cache.
 
 The correlation-immunity strength of a function tuple is read off the
 spectra: a triple (a, b, c) with all Walsh values nonzero defeats masking
 at order w(a)+w(b)+w(c), and the strength is one less than the smallest
-such order.  WALSH_K_CAP is the one cap on k, for tables, strengths and
-convolutions alike.  Exact rational leakages make constancy decidable.
+such order; for linear functions it is a code's minimum distance minus
+one, so WALSH_K_CAP caps tables, convolutions and strengths of tuples
+with a nonlinear member.  Exact rational leakages make constancy decidable.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import LinearCode, UnrestrictedCode, dual_distance
+from .codes import LinearCode, UnrestrictedCode, dual_distance, min_distance
 from .gf2 import BitMatrix, CertificateError, Infeasible, invert
 from .partition import t_cis_partition
 
@@ -58,10 +60,11 @@ class BooleanPermutation:
 
     A linear permutation with matrix M acts on row vectors, table[x] = x.M,
     so the matrix read off a systematic generator block acts the same way
-    the block does inside codewords.
+    the block does inside codewords.  One made from its matrix builds the
+    table only when ``table`` is first read.
     """
 
-    __slots__ = ("k", "table", "matrix")
+    __slots__ = ("k", "matrix", "_table")
 
     def __init__(self, k: int, table, matrix: BitMatrix | None = None):
         if k < 1:
@@ -77,12 +80,12 @@ class BooleanPermutation:
             if matrix.vec_mul_table() != list(table):
                 raise ValueError("matrix does not reproduce the table")
         self.k = k
-        self.table = table
         self.matrix = matrix
+        self._table = table
 
     @classmethod
     def identity(cls, k: int) -> "BooleanPermutation":
-        return cls(k, range(1 << k), BitMatrix.identity(k))
+        return cls.from_matrix(BitMatrix.identity(k))
 
     @classmethod
     def from_matrix(cls, m: BitMatrix) -> "BooleanPermutation":
@@ -90,17 +93,26 @@ class BooleanPermutation:
             raise ValueError("matrix must be square")
         if invert(m) is None:
             raise ValueError("matrix is singular")
-        return cls(m.nrows, m.vec_mul_table(), m)
+        f = cls.__new__(cls)
+        f.k, f.matrix, f._table = m.nrows, m, None
+        return f
+
+    @property
+    def table(self) -> tuple[int, ...]:
+        if self._table is None:
+            self._table = tuple(self.matrix.vec_mul_table())
+        return self._table
 
     def __call__(self, x: int) -> int:
         return self.table[x]
 
     def inverse(self) -> "BooleanPermutation":
+        if self.matrix is not None:
+            return BooleanPermutation.from_matrix(invert(self.matrix))
         inv = [0] * len(self.table)
         for x, y in enumerate(self.table):
             inv[y] = x
-        m = invert(self.matrix) if self.matrix is not None else None
-        return BooleanPermutation(self.k, inv, m)
+        return BooleanPermutation(self.k, inv)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BooleanPermutation):
@@ -202,6 +214,10 @@ def t_ci_strength(fs) -> int:
     the smallest such order minus one.  For a fixed a the cheapest b_i is
     the least-weight output mask with W_i(a, b_i) nonzero, and every Walsh
     row has one, so the value is always exact.
+
+    For linear F_i(x) = x.M_i, W_i(a, b) is nonzero only at b = M_i^-1 a,
+    so the strength is d(I | (M_1^-1)^T | .. ) - 1 from ``min_distance``
+    (Carlet, Gaborit, Kim and Sole, IEEE Trans. IT 2012).
     """
     fs = list(fs)
     if not fs:
@@ -209,6 +225,12 @@ def t_ci_strength(fs) -> int:
     k = fs[0].k
     if any(f.k != k for f in fs):
         raise ValueError("permutations act on different sizes")
+    if all(f.matrix is not None for f in fs):
+        # row j of (M^-1)^T is column j of M^-1
+        blocks = [invert(f.matrix).columns() for f in fs]
+        rows = [1 << j | sum(b[j] << i * k for i, b in enumerate(blocks, 1))
+                for j in range(k)]
+        return min_distance(LinearCode(BitMatrix(rows, (len(fs) + 1) * k))) - 1
     total = np.bitwise_count(np.arange(1, 1 << k)).astype(np.int64)
     for f in fs:
         total = total + _min_outmask_weights(f)[1:]

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codes import LinearCode
-from .gf2 import CertificateError, Echelon, Infeasible, invert
+from .gf2 import CertificateError, Echelon, Infeasible
 
 __all__ = [
     "Partition",
@@ -62,9 +62,10 @@ class Violation:
 
 
 def _check_partition(c: LinearCode, t: int, sets) -> None:
+    cols = c.gen.columns()
     seen: set[int] = set()
     for s in sets:
-        if len(s) != c.k or seen & set(s) or invert(c.gen.take_columns(s)) is None:
+        if len(s) != c.k or seen & set(s) or Echelon(cols[j] for j in s).rank != c.k:
             raise CertificateError(f"set {s} is not a fresh information set")
         seen |= set(s)
     if len(seen) != c.n:

@@ -1,8 +1,10 @@
 import hashlib
+import json
 import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +15,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tcis.boolfun
-from conftest import is_constant, mul_vec, random_invertible, systematic_cis_code
+from conftest import (
+    is_constant,
+    mul_vec,
+    random_invertible,
+    scrambled_cis_code,
+    systematic_cis_code,
+)
+from tcis import formats
 from tcis.boolfun import (
     BooleanPermutation,
     LeakageFunction,
@@ -331,7 +340,62 @@ def test_linear_strength_is_distance_minus_one(k):
     # linear bijections of a systematic 3-CIS code mask at d - 1
     c = systematic_cis_code(random.Random(0xD1 + k), k, 3)
     fs = derive_bijections(c, 3)
+    d = min_distance(c)
+    assert t_ci_strength(fs) == d - 1
+    # the same functions without their matrices take the Walsh route
+    assert t_ci_strength([BooleanPermutation(k, f.table) for f in fs]) == d - 1
+
+
+@given(st.integers(0, 2**32))
+def test_linear_code_route_matches_walsh(seed):
+    # the code route d(I | (M_1^-1)^T | ..) - 1 against the Walsh spectra of
+    # the same matrices, stripped from all functions or from one
+    rng = random.Random(seed)
+    k, t = rng.randrange(1, 11), rng.randrange(1, 5)
+    fs = [BooleanPermutation.from_matrix(random_invertible(rng, k)) for _ in range(t)]
+    stripped = [BooleanPermutation(k, f.table) for f in fs]
+    want = t_ci_strength(fs)
+    assert t_ci_strength(stripped) == want
+    assert t_ci_strength(stripped[:1] + fs[1:]) == want
+
+
+DERIVE_PEAK = """
+import resource, sys
+from tcis.cli import main
+
+rc = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+raise SystemExit(rc)
+"""
+
+
+def test_derive_and_strength_at_large_k(tmp_path):
+    # linear bijections build no 2^k table: derive on a [72,24] code runs in
+    # a fresh process within a second and 200 MB, and strength is d - 1
+    # from the code, also at k = 16 where the Walsh route refuses
+    rng = random.Random(0x7224)
+    c = scrambled_cis_code(rng, 24, 3)
+    path = tmp_path / "c72.code"
+    formats.save(path, c)
+    src = Path(__file__).resolve().parent.parent / "src"
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", DERIVE_PEAK, "derive", str(path), "3", "--json"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 1.0
+    assert int(proc.stderr) < 200 * 1024  # ru_maxrss in KiB
+    fs = derive_bijections(c, 3)
+    assert json.loads(proc.stdout)["matrices"] == [f.matrix.to_strings() for f in fs]
     assert t_ci_strength(fs) == min_distance(c) - 1
+    c = scrambled_cis_code(rng, 16, 3)
+    fs = derive_bijections(c, 3)
+    assert t_ci_strength(fs) == min_distance(c) - 1
+    with pytest.raises(Infeasible, match="Walsh cap"):
+        t_ci_strength([BooleanPermutation(16, f.table) for f in fs])
 
 
 def test_strength_k10_memory():
@@ -529,7 +593,7 @@ def test_zero_walsh_row_raises(monkeypatch):
         return values
 
     monkeypatch.setattr(tcis.boolfun, "_spectrum", zero_row)
-    f = BooleanPermutation.identity(3)
+    f = BooleanPermutation(3, range(8))  # no matrix: the Walsh route
     with pytest.raises(CertificateError, match="all-zero row"):
         cip_strength(f, f)
 
@@ -550,7 +614,7 @@ def zero_row(f, masks):
 
 tcis.boolfun._spectrum = zero_row
 try:
-    t_ci_strength([BooleanPermutation.identity(3)])
+    t_ci_strength([BooleanPermutation(3, range(8))])
 except CertificateError:
     print("CertificateError")
 """

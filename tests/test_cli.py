@@ -269,7 +269,7 @@ def test_masscheck_refuses_at_once(capsys, k, t):
 
 @pytest.mark.parametrize(
     "k,t,classes,total",
-    [pytest.param(4, 3, 361, 406_425_600, marks=pytest.mark.slow), (5, 2, 195, 9_999_360)],
+    [(4, 3, 361, 406_425_600), (5, 2, 195, 9_999_360)],
 )
 def test_masscheck_long_running_sizes(capsys, k, t, classes, total):
     rc, obj, _ = jrun(capsys, ["masscheck", str(k), str(t)])
@@ -311,9 +311,7 @@ def test_masscheck_pinned(capsys):
     )
 
 
-@pytest.mark.parametrize(
-    "k,t", [pytest.param(4, 3, marks=pytest.mark.slow), (5, 2)]
-)
+@pytest.mark.parametrize("k,t", [(4, 3), (5, 2)])
 def test_masscheck_pinned_long_running(capsys, k, t):
     assert masscheck_digest(capsys, [(k, t)]) == MASSCHECK_DIGESTS[k, t]
 

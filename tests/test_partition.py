@@ -228,12 +228,14 @@ def test_qc_243_9_partition_pinned(qc_243_9):
 OPTIMIZED_RECHECK = """
 import tcis.codes, tcis.partition, tcis.z4
 from tcis.codes import LinearCode
-from tcis.gf2 import BitMatrix, CertificateError
+from tcis.gf2 import BitMatrix, CertificateError, Echelon
 from tcis.z4 import Z4Matrix
 
 if __debug__:
     raise SystemExit("assertions are still on")
-tcis.partition.invert = tcis.codes.invert = lambda m: None
+tcis.codes.invert = lambda m: None
+# every column set the partition re-check ranks comes out rank 0
+tcis.partition.Echelon = type("RankZero", (Echelon,), {"rank": 0})
 # the identity is a wrong residue inverse of [[1, 1], [1, 0]]
 tcis.z4.invert = lambda m: BitMatrix.identity(m.nrows)
 code = LinearCode(BitMatrix([0b0101, 0b1010], 4))  # (I | I)
@@ -248,8 +250,8 @@ for check in (lambda: tcis.partition.t_cis_partition(code, 2),
 
 
 def test_certificate_rechecks_survive_python_O():
-    # with every inversion failing or wrong, the re-verification must still
-    # fire when python -O strips assert statements
+    # with every inversion or rank failing or wrong, the re-verification
+    # must still fire when python -O strips assert statements
     src = Path(__file__).resolve().parent.parent / "src"
     out = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_RECHECK],
