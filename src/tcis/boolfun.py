@@ -4,10 +4,7 @@ A permutation of F_2^k is a lookup table; a linear one carries its matrix
 and builds the table only when asked.  The Walsh table W(a, b) =
 sum_x (-1)^(a.x + b.F(x)) is H.S, where H is the Sylvester-Hadamard
 matrix and S the sign matrix S[x, b] = (-1)^(F(x).b), whose row x is row
-F(x) of H: one fast transform, exact in int16.  Arrays larger than a
-cache-sized chunk are transformed blockwise, H_n = H_hi (x) H_lo: the low
-stages inside chunks of whole rows, the high stages inside column slabs,
-so every stage runs in cache.
+F(x) of H: one cache-blocked transform (``codes._fwht``), exact in int16.
 
 The correlation-immunity strength of a function tuple is read off the
 spectra: a triple (a, b, c) with all Walsh values nonzero defeats masking
@@ -24,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import LinearCode, UnrestrictedCode, dual_distance, min_distance
+from .codes import LinearCode, UnrestrictedCode, _fwht, dual_distance, min_distance
 from .gf2 import BitMatrix, CertificateError, Infeasible, invert
 from .partition import t_cis_partition
 
@@ -49,10 +46,6 @@ __all__ = [
 
 WALSH_K_CAP = 12
 MASKING_BITS_CAP = 20
-
-# _fwht splits arrays above this many bytes into row chunks and column
-# slabs of at most this size, so that each piece stays in L2 cache.
-_FWHT_CHUNK = 1 << 20
 
 
 class BooleanPermutation:
@@ -104,7 +97,9 @@ class BooleanPermutation:
         return self._table
 
     def __call__(self, x: int) -> int:
-        return self.table[x]
+        if self._table is None:
+            return self.matrix.vec_mul(x)
+        return self._table[x]
 
     def inverse(self) -> "BooleanPermutation":
         if self.matrix is not None:
@@ -117,10 +112,13 @@ class BooleanPermutation:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BooleanPermutation):
             return NotImplemented
+        if self.matrix is not None and other.matrix is not None:
+            return self.matrix == other.matrix
         return self.table == other.table
 
     def __hash__(self) -> int:
-        return hash(self.table)
+        # the images of the unit vectors, which are the rows of a matrix
+        return hash(tuple(self(1 << i) for i in range(self.k)))
 
     def __repr__(self) -> str:
         return f"BooleanPermutation(k={self.k})"
@@ -135,37 +133,6 @@ class WalshTable:
 
     def value(self, a: int, b: int) -> int:
         return int(self.values[a, b])
-
-
-def _fwht(a: np.ndarray) -> np.ndarray:
-    """Unnormalised Walsh-Hadamard transform along axis 0, in place.
-
-    The first axis must be a power of two, and ``a`` must reshape to
-    (blocks, 2, h, rest) as a view: C-contiguous, or a column slab of a
-    C-contiguous 2-D array.  Each stage combines the two halves at once.
-    Above _FWHT_CHUNK bytes, H_n = H_hi (x) H_lo: the low transform runs
-    on chunks of lo rows and the high one on column slabs of the
-    (n/lo, lo*rest) view, each piece within one chunk.
-    """
-    n = a.shape[0]
-    if a.nbytes > _FWHT_CHUNK and n > 2:
-        # the most rows that fit in one chunk, a power of two below n
-        lo = 1 << (max(2, _FWHT_CHUNK * n // a.nbytes).bit_length() - 1)
-        for i in range(0, n, lo):
-            _fwht(a[i : i + lo])
-        v = a.reshape(n // lo, -1)
-        width = max(1, _FWHT_CHUNK // (v.shape[0] * v.itemsize))
-        for j in range(0, v.shape[1], width):
-            _fwht(v[:, j : j + width])
-        return a
-    h = 1
-    while h < n:
-        v = a.reshape(n // (2 * h), 2, h, -1)
-        diff = v[:, 0] - v[:, 1]
-        v[:, 0] += v[:, 1]
-        v[:, 1] = diff
-        h *= 2
-    return a
 
 
 def _spectrum(f: BooleanPermutation, masks: np.ndarray) -> np.ndarray:
@@ -265,8 +232,6 @@ def verify_theorem1(f1: BooleanPermutation, f2: BooleanPermutation) -> dict:
     """Check dual distance of the pair's masking code against strength + 1."""
     if f1.k != f2.k:
         raise ValueError("permutations act on different sizes")
-    if f1.k > 4:
-        raise Infeasible(f"k={f1.k} exceeds verification cap 4")
     dd = dual_distance(build_masking_code([f1, f2]))
     s = cip_strength(f1, f2)
     return {"dual_distance": dd, "cip_strength": s, "consistent": dd == s + 1}

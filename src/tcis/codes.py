@@ -2,9 +2,9 @@
 
 Codewords are packed ints under the bit convention of :mod:`tcis.gf2`.
 Linear codes are held by a full-rank generator matrix; unrestricted codes
-by an explicit sorted word tuple.  Distance enumerators count ordered
-codeword pairs, so entries sum to |C|^2 and the i-th entry is |C|^2 B_i
-in the usual normalization.
+by an explicit sorted word tuple.  The dual distance is the least weight
+i > 0 of a u with sum_{x in C} (-1)^(u.x) != 0, where the MacWilliams
+transform B'_i of the distance distribution first becomes nonzero.
 
 ``min_distance`` picks its method from the code.  Below ``BZ_MIN_K``, the
 measured crossover, or when the greedy split of the columns below yields a
@@ -26,6 +26,8 @@ import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gf2 import (BitMatrix, CertificateError, Echelon, Infeasible, invert, parity_dot,
                   rank)
 
@@ -33,26 +35,25 @@ __all__ = [
     "LinearCode",
     "ZeroCode",
     "UnrestrictedCode",
-    "DistanceEnumerator",
     "systematic_form",
     "min_distance",
     "weight_distribution",
-    "distance_enumerator",
     "dual_distance",
     "dual",
     "is_self_orthogonal",
     "star_fill_zero_columns",
-    "krawtchouk_table",
     "MIN_DISTANCE_CAP",
-    "PAIRWISE_SIZE_CAP",
-    "TRANSLATE_SIZE_CAP",
+    "DUAL_DISTANCE_CAP",
 ]
 
 MIN_DISTANCE_CAP = 1 << 28
 # below this k the Gray walk beats Brouwer-Zimmermann on random [3k, k] codes
 BZ_MIN_K = 13
-PAIRWISE_SIZE_CAP = 1 << 16
-TRANSLATE_SIZE_CAP = 1 << 20
+DUAL_DISTANCE_CAP = 1 << 20
+
+# _fwht splits arrays above this many bytes into row chunks and column
+# slabs of at most this size, so that each piece stays in L2 cache.
+_FWHT_CHUNK = 1 << 20
 
 
 class LinearCode:
@@ -129,37 +130,6 @@ class UnrestrictedCode:
         return f"UnrestrictedCode(n={self.n}, size={self.size})"
 
 
-@dataclass(frozen=True)
-class DistanceEnumerator:
-    """Ordered-pair distance counts; counts[i] pairs at Hamming distance i."""
-
-    n: int
-    size: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != self.n + 1:
-            raise ValueError("need exactly n+1 counts")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("negative count")
-        if self.counts[0] < self.size:
-            raise ValueError("diagonal pairs missing from distance 0")
-        if sum(self.counts) != self.size * self.size:
-            raise ValueError("counts do not sum to |C|^2")
-
-    def transform(self) -> tuple[int, ...]:
-        """Dual-side counts |C|^2 B'_i via the Krawtchouk expansion.
-
-        Entries are exact ints and are nonnegative for any code; for a
-        linear code they equal |C|^2 times the dual weight distribution.
-        """
-        kt = krawtchouk_table(self.n)
-        return tuple(
-            sum(self.counts[j] * kt[i][j] for j in range(self.n + 1))
-            for i in range(self.n + 1)
-        )
-
-
 def _krawtchouk_rows(n: int, js: Sequence[int]) -> Iterator[list[int]]:
     # K_i(j) for j in js, i = 0..n, by the three-term recurrence
     # (i+1) K_{i+1} = (n-2j) K_i - (n-i+1) K_{i-1}, with K_{-1} = 0
@@ -171,11 +141,6 @@ def _krawtchouk_rows(n: int, js: Sequence[int]) -> Iterator[list[int]]:
             for j, c, p in zip(js, cur, prev)
         ]
         yield cur
-
-
-def krawtchouk_table(n: int) -> list[list[int]]:
-    """K[i][j] = sum_l (-1)^l C(j,l) C(n-j, i-l), for 0 <= i, j <= n."""
-    return list(_krawtchouk_rows(n, range(n + 1)))
 
 
 def systematic_form(c: LinearCode) -> tuple[LinearCode, tuple[int, ...]]:
@@ -276,57 +241,75 @@ def weight_distribution(c: LinearCode, cap: int = MIN_DISTANCE_CAP) -> list[int]
     return counts
 
 
-def distance_enumerator(c) -> DistanceEnumerator:
-    """Exact ordered-pair distance counts.
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalised Walsh-Hadamard transform along axis 0, in place.
 
-    For a distance-invariant code (a linear code, or an unrestricted code
-    flagged so) the counts are |C| times the weight distribution of the code
-    translated through any fixed word, which takes one weight pass;
-    otherwise all pairs are compared.  The size cap is checked before any
-    codeword is listed.
+    The first axis must be a power of two, and ``a`` must reshape to
+    (blocks, 2, h, rest) as a view: C-contiguous, or a column slab of a
+    C-contiguous 2-D array.  Each stage combines the two halves at once.
+    Above _FWHT_CHUNK bytes, H_n = H_hi (x) H_lo: the low transform runs
+    on chunks of lo rows and the high one on column slabs of the
+    (n/lo, lo*rest) view, each piece within one chunk.
     """
-    if isinstance(c, UnrestrictedCode):
-        m, distance_invariant = c.size, c.distance_invariant
-    elif isinstance(c, (LinearCode, ZeroCode)):
-        m, distance_invariant = 1 << c.k, True
-    else:
-        raise TypeError(f"not a code: {c!r}")
-    cap = TRANSLATE_SIZE_CAP if distance_invariant else PAIRWISE_SIZE_CAP
-    if m > cap:
-        raise Infeasible(f"code size {m} exceeds cap {cap}")
-    words = c.words if isinstance(c, UnrestrictedCode) else c.codewords()
-    counts = [0] * (c.n + 1)
-    if distance_invariant:
-        c0 = words[0]
-        for w in words:
-            counts[(w ^ c0).bit_count()] += m
-    else:
-        counts[0] = m
-        for i in range(m):
-            wi = words[i]
-            for j in range(i + 1, m):
-                counts[(wi ^ words[j]).bit_count()] += 2
-    return DistanceEnumerator(c.n, m, tuple(counts))
+    n = a.shape[0]
+    if a.nbytes > _FWHT_CHUNK and n > 2:
+        # the most rows that fit in one chunk, a power of two below n
+        lo = 1 << (max(2, _FWHT_CHUNK * n // a.nbytes).bit_length() - 1)
+        for i in range(0, n, lo):
+            _fwht(a[i : i + lo])
+        v = a.reshape(n // lo, -1)
+        width = max(1, _FWHT_CHUNK // (v.shape[0] * v.itemsize))
+        for j in range(0, v.shape[1], width):
+            _fwht(v[:, j : j + width])
+        return a
+    h = 1
+    while h < n:
+        v = a.reshape(n // (2 * h), 2, h, -1)
+        diff = v[:, 0] - v[:, 1]
+        v[:, 0] += v[:, 1]
+        v[:, 1] = diff
+        h *= 2
+    return a
 
 
 def dual_distance(c) -> int | float:
-    """Smallest i > 0 with nonzero dual-side enumerator coefficient.
+    """Least weight i > 0 of a u with sum_{x in C} (-1)^(u.x) != 0.
 
-    For a linear code this is the minimum distance of the dual code.  When
-    every coefficient beyond i = 0 vanishes (the code is the full space)
-    there is no such i and ``math.inf`` is returned.
+    For a linear code this is the minimum distance of the dual code; when
+    no such u exists (the code is the full space) it is ``math.inf``.  A
+    distance-invariant code (linear, ZeroCode, or an unrestricted code
+    flagged so) looks the same from every word, so the weights of one
+    translate give B'_i through Krawtchouk rows.  Any other code takes one
+    transform of its 2^n indicator, exact in int32 since every entry is a
+    signed sum of at most 2^n <= DUAL_DISTANCE_CAP ones.  The cap bounds the
+    words listed or the transform entries and is checked before either.
     """
-    if isinstance(c, DistanceEnumerator):
-        de = c
+    if isinstance(c, UnrestrictedCode):
+        translate = c.distance_invariant
+        size = c.size if translate else 1 << c.n
+    elif isinstance(c, (LinearCode, ZeroCode)):
+        translate, size = True, 1 << c.k
     else:
-        de = distance_enumerator(c)
-    n = de.n
-    support = [j for j in range(n + 1) if de.counts[j]]
-    counts = [de.counts[j] for j in support]
+        raise TypeError(f"not a code: {c!r}")
+    if size > DUAL_DISTANCE_CAP:
+        what = "code size" if translate else "indicator length"
+        raise Infeasible(f"{what} {size} exceeds cap {DUAL_DISTANCE_CAP}")
+    words = c.words if isinstance(c, UnrestrictedCode) else c.codewords()
+    if not translate:
+        indicator = np.zeros(size, dtype=np.int32)
+        indicator[list(words)] = 1
+        u = np.flatnonzero(_fwht(indicator)[1:]) + 1
+        return int(np.bitwise_count(u).min()) if u.size else math.inf
+    n = c.n
+    counts = [0] * (n + 1)
+    for w in words:
+        counts[(w ^ words[0]).bit_count()] += 1
+    support = [j for j in range(n + 1) if counts[j]]
+    counts = [counts[j] for j in support]
     # Krawtchouk rows only at occurring distances, stopping at the first
     # nonzero coefficient; avoids the full (n+1)^2 table at large n.
     rows = _krawtchouk_rows(n, support)
-    next(rows)  # K_0: the i = 0 coefficient is |C|^2, never zero
+    next(rows)  # K_0: the i = 0 coefficient is |C|, never zero
     for i, row in enumerate(rows, 1):
         if sum(map(operator.mul, counts, row)):
             return i

@@ -3,8 +3,8 @@
 Symbols live in {0,1,2,3}.  The Gray map sends 0,1,2,3 to the bit pairs
 00, 01, 11, 10; a length-n Z4 word becomes a length-2n binary word with
 symbol j occupying bits 2j and 2j+1.  Gray images inherit the translation
-invariance of the Lee metric, so their distance enumerators can use the
-one-pass weight route.
+invariance of the Lee metric, so their dual distances can use the
+one-pass translate route.
 """
 from __future__ import annotations
 

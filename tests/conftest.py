@@ -1,4 +1,6 @@
 import functools
+import math
+import operator
 import random
 from pathlib import Path
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import settings
 
 from tcis import formats
+from tcis.boolfun import BooleanPermutation
 from tcis.classify import classify_tcis
 from tcis.codes import LinearCode
 from tcis.gf2 import BitMatrix, Echelon, parity_dot, rank
@@ -105,6 +108,35 @@ def solve_in_span(basis: BitMatrix, target: int) -> int | None:
     return span.express(target)
 
 
+def krawtchouk_table(n: int) -> list[list[int]]:
+    """K[i][j] = sum_l (-1)^l C(j,l) C(n-j, i-l), for 0 <= i, j <= n."""
+    return [
+        [sum((-1) ** l * math.comb(j, l) * math.comb(n - j, i - l) for l in range(i + 1))
+         for j in range(n + 1)]
+        for i in range(n + 1)
+    ]
+
+
+def pair_counts(n: int, words) -> list[int]:
+    """Ordered pairs of words at each Hamming distance 0..n: |C|^2 B_i."""
+    counts = [0] * (n + 1)
+    for a in words:
+        for b in words:
+            counts[(a ^ b).bit_count()] += 1
+    return counts
+
+
+def macwilliams(n: int, words) -> list[int]:
+    """|C|^2 B'_i: the Krawtchouk transform of the ordered-pair counts."""
+    counts = pair_counts(n, words)
+    return [sum(map(operator.mul, row, counts)) for row in krawtchouk_table(n)]
+
+
+def macwilliams_dual_distance(n: int, words) -> int | float:
+    """Least i > 0 with B'_i != 0, or inf when the words fill the space."""
+    return next((i for i, b in enumerate(macwilliams(n, words)) if i and b), math.inf)
+
+
 def random_full_rank(rng: random.Random, n: int, k: int) -> BitMatrix:
     while True:
         m = BitMatrix([rng.randrange(1, 1 << n) for _ in range(k)], n)
@@ -114,6 +146,12 @@ def random_full_rank(rng: random.Random, n: int, k: int) -> BitMatrix:
 
 def random_invertible(rng: random.Random, k: int) -> BitMatrix:
     return random_full_rank(rng, k, k)
+
+
+def random_perm(rng: random.Random, k: int) -> BooleanPermutation:
+    table = list(range(1 << k))
+    rng.shuffle(table)
+    return BooleanPermutation(k, table)
 
 
 def random_code(rng: random.Random, n: int, k: int) -> LinearCode:

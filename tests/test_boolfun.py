@@ -15,10 +15,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tcis.boolfun
+import tcis.codes
 from conftest import (
     is_constant,
     mul_vec,
     random_invertible,
+    random_perm,
     scrambled_cis_code,
     systematic_cis_code,
 )
@@ -37,14 +39,8 @@ from tcis.boolfun import (
     verify_theorem1,
     walsh_table,
 )
-from tcis.codes import LinearCode, distance_enumerator, dual, dual_distance, min_distance
+from tcis.codes import LinearCode, dual, min_distance
 from tcis.gf2 import BitMatrix, CertificateError, Infeasible, parity_dot
-
-
-def random_perm(rng, k):
-    table = list(range(1 << k))
-    rng.shuffle(table)
-    return BooleanPermutation(k, table)
 
 
 def test_permutation_validation():
@@ -94,6 +90,33 @@ def test_from_matrix_table_matches_vec_mul(seed):
         table[x], table[y] = table[y], table[x]
         with pytest.raises(ValueError, match="reproduce"):
             BooleanPermutation(k, table, m)
+
+
+@given(st.integers(0, 2**32))
+def test_linear_permutation_equals_its_table(seed):
+    # built from its matrix or from its table alone, a linear permutation
+    # answers, compares and hashes alike, while the other bijections differ
+    rng = random.Random(seed)
+    k = rng.randrange(1, 8)
+    f = BooleanPermutation.from_matrix(random_invertible(rng, k))
+    g = BooleanPermutation(k, [f(x) for x in range(1 << k)])
+    assert f._table is None and g.matrix is None
+    assert f == g and g == f and hash(f) == hash(g)
+    assert len({f, g}) == 1
+    h = BooleanPermutation.from_matrix(random_invertible(rng, k))
+    assert (f == h) == (f.table == h.table) == (f.matrix == h.matrix)
+    assert f == BooleanPermutation(k, f.table, f.matrix)
+
+
+def test_linear_permutation_without_table():
+    # one evaluation, comparison or hash of a k = 22 permutation reads the
+    # matrix, never the 2^22-entry table
+    m = random_invertible(random.Random(22), 22)
+    f, g = BooleanPermutation.from_matrix(m), BooleanPermutation.from_matrix(m)
+    assert f(5) == m.vec_mul(5) and f(0) == 0
+    assert f == g and hash(f) == hash(g)
+    assert f != BooleanPermutation.identity(22)
+    assert f._table is None and g._table is None
 
 
 def test_inverse(rng):
@@ -169,14 +192,14 @@ def _spied_fwht(monkeypatch, a):
     # transform a through _fwht, returning the sizes of the pieces that the
     # blocked branch hands back to _fwht (none when the plain loop runs)
     pieces = []
-    fwht = tcis.boolfun._fwht
+    fwht = tcis.codes._fwht
 
     def spy(x):
         pieces.append(x.nbytes)
         return fwht(x)
 
     with monkeypatch.context() as mp:
-        mp.setattr(tcis.boolfun, "_fwht", spy)
+        mp.setattr(tcis.codes, "_fwht", spy)
         out = spy(a)
     assert out is a
     return pieces[1:]
@@ -184,8 +207,8 @@ def _spied_fwht(monkeypatch, a):
 
 def _plain_fwht(monkeypatch, a):
     with monkeypatch.context() as mp:
-        mp.setattr(tcis.boolfun, "_FWHT_CHUNK", 1 << 62)
-        return tcis.boolfun._fwht(a)
+        mp.setattr(tcis.codes, "_FWHT_CHUNK", 1 << 62)
+        return tcis.codes._fwht(a)
 
 
 def _sylvester(n):
@@ -215,7 +238,7 @@ def test_fwht_blocked_matches_plain(monkeypatch, shape, chunk):
     gen = np.random.default_rng(sum(shape))
     a = gen.integers(-1, 2, size=shape, dtype=np.int16)
     want = _plain_fwht(monkeypatch, a.copy())
-    monkeypatch.setattr(tcis.boolfun, "_FWHT_CHUNK", chunk)
+    monkeypatch.setattr(tcis.codes, "_FWHT_CHUNK", chunk)
     pieces = _spied_fwht(monkeypatch, a)
     if a.nbytes > chunk:
         assert sum(pieces) == 2 * a.nbytes
@@ -232,7 +255,7 @@ def test_fwht_blocked_object_ints(monkeypatch, n):
     # 512-byte chunk size, against an explicit Sylvester product
     gen = random.Random(n)
     ints = np.array([gen.randrange(-(2**70), 2**70) for _ in range(n)], dtype=object)
-    monkeypatch.setattr(tcis.boolfun, "_FWHT_CHUNK", 1 << 9)
+    monkeypatch.setattr(tcis.codes, "_FWHT_CHUNK", 1 << 9)
     a = ints.copy()
     pieces = _spied_fwht(monkeypatch, a)
     assert (pieces != []) == (a.nbytes > 1 << 9)
@@ -449,13 +472,14 @@ def test_masking_code_of_derived_is_dual(rng):
 
 
 def test_theorem1_verify(rng):
-    for _ in range(15):
-        k = rng.randrange(2, 4)
+    # k = 5 and 6 answer through the indicator transform of the masking
+    # code; at k = 7 its 2^21 entries exceed the dual-distance cap
+    for k in [rng.randrange(2, 4) for _ in range(15)] + [5, 5, 6, 6]:
         res = verify_theorem1(random_perm(rng, k), random_perm(rng, k))
         assert res["consistent"]
         assert res["dual_distance"] == res["cip_strength"] + 1
-    with pytest.raises(Infeasible):
-        verify_theorem1(random_perm(rng, 5), random_perm(rng, 5))
+    with pytest.raises(Infeasible, match="indicator length 2097152 exceeds cap 1048576"):
+        verify_theorem1(random_perm(rng, 7), random_perm(rng, 7))
 
 
 def test_derive_requires_cis():

@@ -13,23 +13,34 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tcis.codes
-from conftest import encode, planted_code, random_code, random_full_rank, scrambled_cis_code
+from conftest import (
+    DATA,
+    encode,
+    krawtchouk_table,
+    macwilliams,
+    macwilliams_dual_distance,
+    pair_counts,
+    planted_code,
+    random_code,
+    random_perm,
+    scrambled_cis_code,
+)
+from tcis import formats
+from tcis.boolfun import build_masking_code, verify_theorem1
 from tcis.codes import (
-    DistanceEnumerator,
     LinearCode,
     UnrestrictedCode,
     ZeroCode,
-    distance_enumerator,
     dual,
     dual_distance,
     is_self_orthogonal,
-    krawtchouk_table,
     min_distance,
     star_fill_zero_columns,
     systematic_form,
     weight_distribution,
 )
 from tcis.gf2 import BitMatrix, Infeasible, parity_dot, rank
+from tcis.z4 import gray_image
 
 
 def test_linear_code_validation():
@@ -223,50 +234,45 @@ def test_weight_distribution(rng):
         assert wd[0] == 1
 
 
-def brute_pair_counts(n, words):
-    counts = [0] * (n + 1)
-    for a in words:
-        for b in words:
-            counts[(a ^ b).bit_count()] += 1
-    return tuple(counts)
-
-
 def test_distance_enumerator_paths_agree(rng):
+    # a linear code, its word list and a coset flagged distance invariant
+    # take the translate, transform and translate routes; the coset has
+    # the code's distances but, unlike the code, need not contain 0
     for _ in range(20):
         n = rng.randrange(2, 9)
         k = rng.randrange(1, n + 1)
         c = random_code(rng, n, k)
-        de_fast = distance_enumerator(c)
-        u = UnrestrictedCode(n, c.codewords())  # hint dropped: all-pairs path
-        de_slow = distance_enumerator(u)
-        assert de_fast == de_slow
-        assert de_fast.counts == brute_pair_counts(n, c.codewords())
+        words = c.codewords()
+        assert pair_counts(n, words) == [(1 << k) * a for a in weight_distribution(c)]
+        want = macwilliams_dual_distance(n, words)
+        v = rng.randrange(1, 1 << n)
+        coset = [w ^ v for w in words]
+        assert macwilliams_dual_distance(n, coset) == want
+        assert dual_distance(c) == want
+        assert dual_distance(UnrestrictedCode(n, words)) == want
+        assert dual_distance(UnrestrictedCode(n, coset, distance_invariant=True)) == want
 
 
-def test_distance_enumerator_nonlinear(rng):
+def test_distance_enumerator_nonlinear():
     words = [0b0000, 0b0111, 0b1011, 0b1101]
-    u = UnrestrictedCode(4, words)
-    de = distance_enumerator(u)
-    assert de.counts == brute_pair_counts(4, words)
-
-
-def test_enumerator_validation():
-    with pytest.raises(ValueError):
-        DistanceEnumerator(2, 2, (1, 0, 1))  # sum != size^2
-    with pytest.raises(ValueError):
-        DistanceEnumerator(2, 2, (1, 2, 1))  # diagonal short
+    assert pair_counts(4, words) == [4, 0, 6, 6, 0]
+    # u = 0001 sums the signs -1 three times and +1 once
+    assert macwilliams(4, words) == [16, 4, 12, 28, 4]
+    assert dual_distance(UnrestrictedCode(4, words)) == 1
 
 
 def test_enumerator_cap_before_listing(monkeypatch, rng):
-    # an oversized code must be refused before its codewords are listed
+    # an oversized code must be refused before its codewords are listed;
+    # a code with no proven invariance is refused by its length, whatever
+    # its size
     def refuse(self):
         raise AssertionError("codewords listed before the size cap check")
 
     monkeypatch.setattr(LinearCode, "codewords", refuse)
-    with pytest.raises(Infeasible, match="exceeds cap"):
+    with pytest.raises(Infeasible, match="code size 2097152 exceeds cap 1048576"):
         dual_distance(random_code(rng, 48, 21))
-    with pytest.raises(Infeasible, match="exceeds cap"):
-        distance_enumerator(UnrestrictedCode(20, range(1 << 17)))
+    with pytest.raises(Infeasible, match="indicator length 2097152 exceeds cap 1048576"):
+        dual_distance(UnrestrictedCode(21, [0, 1, 6]))
 
 
 def test_macwilliams_exact(rng):
@@ -275,10 +281,10 @@ def test_macwilliams_exact(rng):
         n = rng.randrange(2, 9)
         k = rng.randrange(1, n)
         c = random_code(rng, n, k)
-        t = distance_enumerator(c).transform()
+        t = macwilliams(n, c.codewords())
         dwd = weight_distribution(dual(c))
         size = 1 << k
-        assert t == tuple(size * size * a for a in dwd)
+        assert t == [size * size * a for a in dwd]
         assert all(v >= 0 for v in t)
 
 
@@ -291,6 +297,73 @@ def test_krawtchouk_orthogonality():
             s = sum(math.comb(n, j) * kt[i][j] * kt[l][j] for j in range(n + 1))
             want = (1 << n) * math.comb(n, i) if i == l else 0
             assert s == want
+
+
+@given(st.integers(0, 2**32))
+def test_dual_distance_matches_macwilliams(seed):
+    # every case from one drawn seed, so that the derandomized profile
+    # still spreads over lengths, sizes and densities
+    rng = random.Random(seed)
+    n = rng.randrange(1, 11)
+    if rng.random() < 0.5:
+        words = rng.sample(range(1 << n), rng.randrange(1, (1 << n) + 1))
+        c = UnrestrictedCode(n, words)
+    else:
+        c = random_code(rng, n, rng.randrange(1, n + 1))
+        words = c.codewords()
+    assert dual_distance(c) == macwilliams_dual_distance(n, words)
+
+
+def test_dual_distance_even_weight_17():
+    # the [17,16] even-weight code as a word list: its indicator transform
+    # is 2^16 at 0 and at the all-ones vector, beyond int16
+    words = [w for w in range(1 << 17) if w.bit_count() % 2 == 0]
+    assert dual_distance(UnrestrictedCode(17, words)) == 17
+    assert dual_distance(LinearCode(BitMatrix([1 | 1 << j for j in range(1, 17)], 17))) == 17
+
+
+def dual_distance_outputs():
+    rng = random.Random(0xDD)
+    out = []
+    for n in range(1, 14):
+        for k in range(1, n + 1):
+            out.append(("lin", n, k, dual_distance(random_code(rng, n, k))))
+    for n in range(1, 12):
+        for _ in range(12):
+            m = rng.randrange(1, min(1 << n, 160) + 1)
+            words = rng.sample(range(1 << n), m)
+            out.append(("nonlin", n, m, dual_distance(UnrestrictedCode(n, words))))
+        if n <= 9:
+            words = rng.sample(range(1 << n), rng.randrange(1 << n - 1, 1 << n))
+            out.append(("dense", n, dual_distance(UnrestrictedCode(n, words))))
+        out.append(("full", n, dual_distance(UnrestrictedCode(n, range(1 << n)))))
+        out.append(("zero", n, dual_distance(ZeroCode(n))))
+    for n in range(16, 21):
+        words = rng.sample(range(1 << n), 40)
+        out.append(("long", n, dual_distance(UnrestrictedCode(n, words))))
+    for k in range(1, 5):
+        for _ in range(6):
+            res = verify_theorem1(random_perm(rng, k), random_perm(rng, k))
+            out.append(("thm1", k, sorted(res.items())))
+    for k, t in [(1, 3), (2, 3), (3, 3), (2, 4), (1, 6)]:
+        mc = build_masking_code([random_perm(rng, k) for _ in range(t)])
+        out.append(("mask", k, t, dual_distance(mc)))
+    for name in ("octacode", "z4_24_6"):
+        img = gray_image(formats.load(DATA / f"{name}.z4"))
+        out.append(("gray", name, dual_distance(img)))
+    return out
+
+
+# SHA-256 of dual_distance and verify_theorem1 outputs, recorded while
+# dual distances came from the Krawtchouk transform of ordered-pair counts
+# (all pairs compared for codes without a distance-invariance flag).
+DUAL_DISTANCE_DIGEST = "bda35b6d9979c6ac226c4eedb1e375e48db01cae74a244db7c7046cc5b1d2136"
+
+
+def test_dual_distance_digest():
+    out = dual_distance_outputs()
+    assert len(out) == 290
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == DUAL_DISTANCE_DIGEST
 
 
 def test_dual_properties(rng):
@@ -320,12 +393,6 @@ def test_dual_distance_matches_dual_code(rng):
         k = rng.randrange(1, n)
         c = random_code(rng, n, k)
         assert dual_distance(c) == min_distance(dual(c))
-
-
-def test_dual_distance_accepts_enumerator(rng):
-    c = random_code(rng, 6, 3)
-    de = distance_enumerator(c)
-    assert dual_distance(de) == dual_distance(c)
 
 
 def test_self_orthogonality(buildup_6_2):

@@ -51,16 +51,30 @@ def test_all_exports_resolve():
     assert missing == []
 
 
+def _definitions():
+    # (file:line, name) of every function and class defined in the package
+    return [
+        (f"{path.name}:{node.lineno}", node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+
+
 def test_test_only_helpers_stay_out():
-    # these have no caller in the package and live in tests/conftest.py
+    # these have no caller in the package and live in tests/conftest.py;
+    # the distance enumerator and its Krawtchouk table are the MacWilliams
+    # oracle there
     moved = {
         "encode", "is_constant", "poly_degree", "poly_mul",
         "hstack", "mul_vec", "solve_in_span",
+        "krawtchouk_table", "distance_enumerator", "DistanceEnumerator",
     }
-    found = [
-        f"{path.name}:{node.lineno} {node.name}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in moved
-    ]
+    found = [f"{where} {name}" for where, name in _definitions() if name in moved]
     assert found == []
+
+
+def test_one_walsh_hadamard_butterfly():
+    # Walsh tables, convolutions and dual distances share one transform
+    found = [where.split(":")[0] for where, name in _definitions() if name == "_fwht"]
+    assert found == ["codes.py"]
