@@ -2,9 +2,11 @@
 
 A permutation of F_2^k is a lookup table; a linear one carries its matrix
 and builds the table only when asked.  The Walsh table W(a, b) =
-sum_x (-1)^(a.x + b.F(x)) is H.S, where H is the Sylvester-Hadamard
-matrix and S the sign matrix S[x, b] = (-1)^(F(x).b), whose row x is row
-F(x) of H: one cache-blocked transform (``codes._fwht``), exact in int16.
+sum_x (-1)^(a.x + b.F(x)) of a linear F(x) = x.M is filled from M: 2^k
+at a = b.M^T, 0 elsewhere.  For a permutation without a matrix it is
+H.S, where H is the Sylvester-Hadamard matrix and S the sign matrix
+S[x, b] = (-1)^(F(x).b), whose row x is row F(x) of H: one cache-blocked
+transform (``codes._fwht``), exact in int16.
 
 The correlation-immunity strength of a function tuple is read off the
 spectra: a triple (a, b, c) with all Walsh values nonzero defeats masking
@@ -21,8 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import LinearCode, UnrestrictedCode, _fwht, dual_distance, min_distance
-from .gf2 import BitMatrix, CertificateError, Infeasible, invert
+from .codes import (LinearCode, UnrestrictedCode, _check_dual_cap, _fwht, dual_distance,
+                    min_distance)
+from .gf2 import BitMatrix, CertificateError, Echelon, Infeasible, invert
 from .partition import t_cis_partition
 
 __all__ = [
@@ -84,7 +87,7 @@ class BooleanPermutation:
     def from_matrix(cls, m: BitMatrix) -> "BooleanPermutation":
         if m.nrows != m.ncols:
             raise ValueError("matrix must be square")
-        if invert(m) is None:
+        if Echelon(m.rows).rank < m.nrows:
             raise ValueError("matrix is singular")
         f = cls.__new__(cls)
         f.k, f.matrix, f._table = m.nrows, m, None
@@ -139,6 +142,12 @@ def _spectrum(f: BooleanPermutation, masks: np.ndarray) -> np.ndarray:
     """Exact int16 Walsh values W(a, masks[j]) at [a, j], masks in any order."""
     if f.k > WALSH_K_CAP:
         raise Infeasible(f"k={f.k} exceeds Walsh cap {WALSH_K_CAP}")
+    if f.matrix is not None:
+        # F(x).b = x.(b.M^T), so W(a, b) is 2^k at a = b.M^T and 0 elsewhere
+        values = np.zeros((1 << f.k, len(masks)), dtype=np.int16)
+        a_of_b = np.array(f.matrix.transpose().vec_mul_table())
+        values[a_of_b[masks], np.arange(len(masks))] = 1 << f.k
+        return values
     # int16 is exact: every entry, partial sums included, is a signed sum
     # of at most 2^k ones, and 2^k <= 2^WALSH_K_CAP = 4096 < 2^15.
     # S[x, j] = (-1)^(F(x).masks[j]), built in place: the parity of the AND.
@@ -151,7 +160,12 @@ def _spectrum(f: BooleanPermutation, masks: np.ndarray) -> np.ndarray:
 
 
 def walsh_table(f: BooleanPermutation) -> WalshTable:
-    """Exact Walsh spectrum W = H.S, values[a, b]."""
+    """Exact int16 Walsh spectrum, values[a, b].
+
+    A permutation with a matrix M has 2^k at a = b.M^T and 0 elsewhere,
+    filled in directly; the sign matrix and its transform W = H.S serve
+    permutations without one.
+    """
     return WalshTable(f.k, _spectrum(f, np.arange(1 << f.k)))
 
 
@@ -232,6 +246,9 @@ def verify_theorem1(f1: BooleanPermutation, f2: BooleanPermutation) -> dict:
     """Check dual distance of the pair's masking code against strength + 1."""
     if f1.k != f2.k:
         raise ValueError("permutations act on different sizes")
+    # the masking code takes the indicator route of length 2^(3k); refuse
+    # it before its words are built
+    _check_dual_cap(1 << 3 * f1.k, translate=False)
     dd = dual_distance(build_masking_code([f1, f2]))
     s = cip_strength(f1, f2)
     return {"dual_distance": dd, "cip_strength": s, "consistent": dd == s + 1}

@@ -272,6 +272,13 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_dual_cap(size: int, translate: bool) -> None:
+    # size counts the words listed (translate) or the indicator's entries
+    if size > DUAL_DISTANCE_CAP:
+        what = "code size" if translate else "indicator length"
+        raise Infeasible(f"{what} {size} exceeds cap {DUAL_DISTANCE_CAP}")
+
+
 def dual_distance(c) -> int | float:
     """Least weight i > 0 of a u with sum_{x in C} (-1)^(u.x) != 0.
 
@@ -291,9 +298,7 @@ def dual_distance(c) -> int | float:
         translate, size = True, 1 << c.k
     else:
         raise TypeError(f"not a code: {c!r}")
-    if size > DUAL_DISTANCE_CAP:
-        what = "code size" if translate else "indicator length"
-        raise Infeasible(f"{what} {size} exceeds cap {DUAL_DISTANCE_CAP}")
+    _check_dual_cap(size, translate)
     words = c.words if isinstance(c, UnrestrictedCode) else c.codewords()
     if not translate:
         indicator = np.zeros(size, dtype=np.int32)

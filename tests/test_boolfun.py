@@ -72,7 +72,7 @@ def test_from_matrix_row_action(rng):
         f = BooleanPermutation.from_matrix(m)
         for x in range(1 << k):
             assert f(x) == m.vec_mul(x)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix is singular"):
         BooleanPermutation.from_matrix(BitMatrix([0b11, 0b11], 2))
 
 
@@ -188,6 +188,57 @@ def test_walsh_k12_affine_int16(rng):
     assert values.min() == -n and values.max() == n
 
 
+@given(st.integers(0, 2**32))
+def test_linear_walsh_matches_transform(seed):
+    # the table filled from the matrix against the transform of the same
+    # permutation stripped of it, dtype included
+    rng = random.Random(seed)
+    k = rng.randrange(1, 11)
+    f = BooleanPermutation.from_matrix(random_invertible(rng, k))
+    want = walsh_table(BooleanPermutation(k, f.table)).values
+    got = walsh_table(f).values
+    assert got.dtype == want.dtype == np.int16
+    assert np.array_equal(got, want)
+
+
+def test_linear_walsh_matches_transform_k12():
+    # each 32 MB table is reduced to its dtype and nonzero entries before
+    # the other is built
+    def nonzeros(g):
+        values = walsh_table(g).values
+        at = np.flatnonzero(values)
+        return values.dtype, at.tolist(), values.flat[at].tolist()
+
+    f = BooleanPermutation.from_matrix(random_invertible(random.Random(0xC12), 12))
+    assert nonzeros(f) == nonzeros(BooleanPermutation(12, f.table))
+
+
+def test_linear_walsh_skips_transform(monkeypatch):
+    # a permutation that carries its matrix never reaches the transform;
+    # the same table without the matrix does
+    calls = []
+    fwht = tcis.codes._fwht
+
+    def spy(a):
+        calls.append(a.shape)
+        return fwht(a)
+
+    monkeypatch.setattr(tcis.codes, "_fwht", spy)
+    monkeypatch.setattr(tcis.boolfun, "_fwht", spy)
+    rng = random.Random(0x5B)
+    for k in (1, 4, 9, 12):
+        f = BooleanPermutation.from_matrix(random_invertible(rng, k))
+        walsh_table(f)
+        assert calls == []
+        # in a mixed tuple only the member without a matrix is transformed
+        t_ci_strength([f, random_perm(rng, k)])
+        assert calls.count((1 << k, 1 << k)) == 1
+        calls.clear()
+        walsh_table(BooleanPermutation(k, f.table))
+        assert calls and calls[0] == (1 << k, 1 << k)
+        calls.clear()
+
+
 def _spied_fwht(monkeypatch, a):
     # transform a through _fwht, returning the sizes of the pieces that the
     # blocked branch hands back to _fwht (none when the plain loop runs)
@@ -292,6 +343,18 @@ def test_walsh_k12_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * values.nbytes
+
+
+def test_linear_walsh_k12_memory():
+    # filled from the matrix, the table is the only large allocation
+    f = BooleanPermutation.from_matrix(random_invertible(random.Random(0x4E), 12))
+    tracemalloc.start()
+    try:
+        values = walsh_table(f).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= values.nbytes + (1 << 20)
 
 
 def test_walsh_cap():
@@ -480,6 +543,18 @@ def test_theorem1_verify(rng):
         assert res["dual_distance"] == res["cip_strength"] + 1
     with pytest.raises(Infeasible, match="indicator length 2097152 exceeds cap 1048576"):
         verify_theorem1(random_perm(rng, 7), random_perm(rng, 7))
+
+
+@pytest.mark.parametrize("k", [7, 8, 10])
+def test_theorem1_refuses_before_building(monkeypatch, k):
+    # the length 3k of the pair's masking code is known before its 2^(2k)
+    # words are listed, so the refusal builds nothing
+    built = []
+    monkeypatch.setattr(tcis.boolfun, "build_masking_code", built.append)
+    rng = random.Random(0x7E + k)
+    with pytest.raises(Infeasible, match=f"indicator length {1 << 3 * k} exceeds cap 1048576"):
+        verify_theorem1(random_perm(rng, k), random_perm(rng, k))
+    assert built == []
 
 
 def test_derive_requires_cis():
@@ -711,3 +786,32 @@ def test_convolution_digest():
         )
         out.append(group_convolution(f, g).values)
     assert _digest(out) == CONVOLUTION_DIGEST
+
+
+# SHA-256 digests recorded from the transform of the sign matrix, before
+# linear tables were filled from their matrices: tables of from_matrix
+# permutations, and strengths of derived tuples with one member stripped
+# of its matrix, where the Walsh route reads the linear members' spectra.
+LINEAR_WALSH_DIGEST = "bbb5550c2e7e770db2e154f6db489b347a4f2eefc8677281ebbd542760f87b81"
+MIXED_STRENGTH_DIGEST = "1285049506a10ebc587e255a725574170beecff64150a0366e9f9f896ed8afe4"
+
+
+def test_linear_walsh_digest():
+    rng = random.Random(0x1EA)
+    out = []
+    for k in range(1, 11):
+        values = walsh_table(BooleanPermutation.from_matrix(random_invertible(rng, k))).values
+        out.append((str(values.dtype), values.tolist()))
+    assert _digest(out) == LINEAR_WALSH_DIGEST
+
+
+def test_mixed_strength_digest():
+    rng = random.Random(0x313)
+    out = []
+    for t in range(3, 6):
+        for k in range(1, 11):
+            fs = derive_bijections(systematic_cis_code(rng, k, t), t)
+            i = rng.randrange(t - 1)
+            fs[i] = BooleanPermutation(k, fs[i].table)
+            out.append((t, k, i, t_ci_strength(fs)))
+    assert _digest(out) == MIXED_STRENGTH_DIGEST
