@@ -525,7 +525,7 @@ def classify_tcis(k: int, t: int = 3, allow_slow: bool = False):
     blocks = [tuple(range(a * k, (a + 1) * k)) for a in range(t)]
     for i, code in enumerate(reps):
         try:
-            _check_partition(code, t, blocks)
+            _check_partition(code.gen.columns(), k, blocks)
         except CertificateError as err:
             raise CertificateError(
                 f"class {i} of [{t * k},{k}] has no {t}-CIS partition: {err}"

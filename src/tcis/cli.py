@@ -9,6 +9,7 @@ numbers.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -263,6 +264,7 @@ def _add_common(p) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+@functools.cache  # parsing leaves the tree unchanged, so build it once
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tcis",

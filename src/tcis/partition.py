@@ -18,6 +18,11 @@ S, a basis of that subcode, are all zero; the residual rows of the empty
 set are the rows of G.  Almost every set the walk closes is one it closed
 before plus a column j, which costs one elimination step: the first
 residual row with bit j is added to every other row with bit j and dropped.
+
+A full set spans all columns, so a chain step over a leading full set can
+neither place, swap nor find a violation, and full sets only ever swap: each
+chain starts past them.  An insertion that needs no swap costs O(1) chain
+steps, not O(t), and one elimination step on at most k residual rows.
 """
 from __future__ import annotations
 
@@ -61,15 +66,15 @@ class Violation:
         return False
 
 
-def _check_partition(c: LinearCode, t: int, sets) -> None:
-    cols = c.gen.columns()
+def _check_partition(cols: list[int], k: int, sets) -> None:
+    """Raise unless sets are disjoint information sets covering all columns."""
     seen: set[int] = set()
     for s in sets:
-        if len(s) != c.k or seen & set(s) or Echelon(cols[j] for j in s).rank != c.k:
+        if len(s) != k or seen & set(s) or Echelon(cols[j] for j in s).rank != k:
             raise CertificateError(f"set {s} is not a fresh information set")
         seen |= set(s)
-    if len(seen) != c.n:
-        raise CertificateError(f"sets cover {len(seen)} of {c.n} columns")
+    if len(seen) != len(cols):
+        raise CertificateError(f"sets cover {len(seen)} of {len(cols)} columns")
 
 
 def _members(mask: int) -> list[int]:
@@ -108,6 +113,7 @@ def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
     n, k = c.n, c.k
     cols = c.gen.columns()
     sets = [0] * t
+    full = 0  # sets[:full] hold k columns each, so they span everything
     assigned = 0
     everything = (1 << n) - 1
     # the matroid is fixed, so a closure, once computed, holds for the
@@ -145,13 +151,14 @@ def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
 
     while assigned != everything:
         x = (~assigned & (assigned + 1)).bit_length() - 1
-        placed = False
+        while sets[full].bit_count() == k:  # some set has room for x
+            full += 1
         for _ in range(n * k):  # swaps per insertion; cycling would be a bug
-            # Walk the span chain S_0 = all, S_j = closure(I_idx ∩ S_{j-1}).
+            # Walk the span chain S_0 = all, S_j = closure(I_idx ∩ S_{j-1}),
+            # counting the leading full sets as steps that left S_j = all.
             # The chain only shrinks; a full round without shrinking while
             # x stays inside forces the violation branch, so it terminates.
-            prev, stable = everything, 0
-            j = 0
+            prev, stable, j = everything, full, full
             while True:
                 idx = j % t
                 j += 1
@@ -166,14 +173,13 @@ def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
                     # x extends sets[idx] or closes a circuit with the basis
                     # columns named by comb; outside span(inter) it can only
                     # do the latter when inter is not all of sets[idx]
-                    basis = _members(sets[idx])
                     comb = None
                     if inter != sets[idx]:
+                        basis = _members(sets[idx])
                         comb = Echelon(cols[i] for i in basis).express(cols[x])
                     if comb is None:
                         sets[idx] |= 1 << x
                         assigned |= 1 << x
-                        placed = True
                     else:
                         # bump the smallest circuit column outside the
                         # previous span and re-run the walk for that column
@@ -197,12 +203,12 @@ def t_cis_partition(c: LinearCode, t: int) -> Partition | Violation:
                         "violation; this contradicts the walk invariant"
                     )
                 prev = cur
-            if placed:
+            if assigned >> x & 1:  # placed; a swap leaves the new x out
                 break
         else:
             raise RuntimeError("exchange walk exceeded its swap guard")
     result = Partition(tuple(tuple(_members(s)) for s in sets))
-    _check_partition(c, t, result.sets)
+    _check_partition(cols, k, result.sets)
     return result
 
 
@@ -258,6 +264,6 @@ def exhaustive_partition_oracle(c: LinearCode, t: int) -> Partition | None:
 
     if search(list(range(c.n))):
         result = Partition(tuple(solution))
-        _check_partition(c, t, result.sets)
+        _check_partition(cols, k, result.sets)
         return result
     return None

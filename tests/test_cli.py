@@ -2,7 +2,11 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -375,3 +379,28 @@ def test_wrong_file_kind_exit_2(capsys, data_dir, tmp_path):
 
     rc, _, err = run(capsys, ["z4", "report", str(data_dir / "buildup_6_2.code")])
     assert rc == 2 and "expected a 'z4' code file" in err
+
+
+def test_parser_reused_across_calls(capsys, buildup_path, tmp_path):
+    # one process, one parser: a run of subcommands and a bad argument in a
+    # row gives the outputs and exit codes of a fresh process per call
+    zero = write_bin(tmp_path, "zero_cols.code", ["100"])
+    argvs = [
+        ["report", buildup_path],
+        ["cis-check", zero, "3", "--json"],
+        ["cis-check", buildup_path, "three"],
+        ["cis-check", buildup_path, "3"],
+    ]
+    src = Path(__file__).resolve().parent.parent / "src"
+    for argv, want_rc in zip(argvs, (0, 1, 2, 0)):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "tcis.cli", *argv], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert (rc, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert rc == want_rc

@@ -188,6 +188,33 @@ def large_partition_outcomes(seed):
     ]
 
 
+def planted_nonzero_code(rng, k, t):
+    """Like planted_code, with no zero column: t*r + 1 nonzero columns in
+    r >= 1 coordinates, so every violation has positive rank."""
+    n = t * k
+    while True:
+        r = rng.randrange(1, k)
+        cols = [rng.randrange(1, 1 << k) for _ in range(n)]
+        for j in rng.sample(range(n), t * r + 1):
+            cols[j] = rng.randrange(1, 1 << r)
+        m = BitMatrix(cols, k).transpose()
+        if rank(m) == k:
+            return LinearCode(m)
+
+
+def large_t_partition_outcomes(seed):
+    """Walk outcomes on seeded planted violations and scrambled CIS codes
+    with t = 16..128 and k <= 3, where most partial sets fill early."""
+    rng = random.Random(seed)
+    return [
+        _certificate(t_cis_partition(make(rng, k, t), t))
+        for t in (16, 32, 64, 128)
+        for k in (1, 2, 3)
+        for make in (planted_code, planted_nonzero_code, scrambled_cis_code)
+        if make is not planted_nonzero_code or k > 1
+    ]
+
+
 def _digest(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
@@ -198,9 +225,12 @@ def _digest(obj) -> str:
 PARTITION_DIGEST = "890ad95d86d25be75aa3126b41e4e5001ead43782d9ea21faa806b3f656e62fb"
 QC_243_9_DIGEST = "fd7ea8e541410deaa0e99067c128712e086102437d5f5da34c0df510e038edcb"
 # Recorded before the walk's column sets became bit masks: certificates of
-# large_partition_outcomes(0x1A96E), and the sets of the slow paper sweep.
+# large_partition_outcomes(0x1A96E), and the sets of the paper sweep.
 LARGE_PARTITION_DIGEST = "928fe711557538a659e9fea856cb4d1fabeaefbe7a62a2f40c78c802e6106954"
 SWEEP_DIGEST = "6a5bb39fb5584ecbb7b809e03d79e8c7e9c12af4ef39a610dfb8eee1a6ba65f2"
+# Recorded before the walk skipped its leading full sets: certificates of
+# large_t_partition_outcomes(0x7E16).
+LARGE_T_DIGEST = "285356a64f12f53fdbcd400e73800ec15d6577a14e9617f2ca0efa113cf3ac64"
 
 
 def test_partition_outcomes_pinned():
@@ -218,6 +248,14 @@ def test_large_partition_outcomes_pinned():
     assert _digest(outcomes) == LARGE_PARTITION_DIGEST
 
 
+def test_large_t_partition_outcomes_pinned():
+    outcomes = large_t_partition_outcomes(0x7E16)
+    kinds = [o[0] for o in outcomes]
+    assert kinds.count("P") == 12
+    assert sum(o[0] == "V" and o[2] > 0 for o in outcomes) >= 6
+    assert _digest(outcomes) == LARGE_T_DIGEST
+
+
 def test_qc_243_9_partition_pinned(qc_243_9):
     from tcis.construct import qc_build
 
@@ -226,7 +264,7 @@ def test_qc_243_9_partition_pinned(qc_243_9):
 
 
 OPTIMIZED_RECHECK = """
-import tcis.codes, tcis.partition, tcis.z4
+import tcis.classify, tcis.codes, tcis.partition, tcis.z4
 from tcis.codes import LinearCode
 from tcis.gf2 import BitMatrix, CertificateError, Echelon
 from tcis.z4 import Z4Matrix
@@ -240,6 +278,7 @@ tcis.partition.Echelon = type("RankZero", (Echelon,), {"rank": 0})
 tcis.z4.invert = lambda m: BitMatrix.identity(m.nrows)
 code = LinearCode(BitMatrix([0b0101, 0b1010], 4))  # (I | I)
 for check in (lambda: tcis.partition.t_cis_partition(code, 2),
+              lambda: tcis.classify.classify_tcis(2, 2),
               lambda: tcis.codes.systematic_form(code),
               lambda: tcis.z4.z4_invert(Z4Matrix([[1, 1], [1, 0]]))):
     try:
@@ -258,7 +297,7 @@ def test_certificate_rechecks_survive_python_O():
         capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     ).stdout
-    assert out.split() == ["CertificateError"] * 3
+    assert out.split() == ["CertificateError"] * 4
 
 
 def codeword_rank(c: LinearCode, s) -> int:
@@ -343,7 +382,6 @@ def test_residual_closures_match_rank(seed):
             check(rows, s)
 
 
-@pytest.mark.slow
 def test_paper_sweep_scale():
     """One seeded scrambled systematic [tk, k] code for every t = 3..256 and
     k <= 256 // t, 1,082 codes up to length 256.
